@@ -1,0 +1,139 @@
+#!/bin/sh
+# Golden matrix for the default engine: the source of truth for "the
+# simulated behaviour did not change".
+#
+# Every design x page policy x workload below runs through
+#   tdram_cli run <w> <design> --ops 1500 --csv --stats --check
+#             [--open-page] --trace <tmp>.tdt
+# and the sha256 of its stdout (CSV row + full stats tree) and of its
+# .tdt event trace must equal the row in the golden file
+# (tests/goldens/default_engine.sha256, "<w> <design> <page> <stdout
+# sha> <trace sha>"). NDC, TDRAM and TDRAM-noprobe never precharge on
+# a page-policy basis, so the golden file holds only their closed-page
+# row and the open-page run must hash to it. Each trace is deleted as
+# soon as it is hashed (the full matrix writes ~125 MB).
+#
+# Usage:
+#   check_default_engine.sh <tdram_cli> <golden> check <workload>
+#   check_default_engine.sh <tdram_cli> <golden> canary
+#   check_default_engine.sh <tdram_cli> <golden> generate > <golden>
+# "canary" proves the gate can fail: one byte flipped in a cell's
+# stdout, and separately in its trace, must each fail the comparison.
+
+set -u
+
+CLI=$1
+GOLDEN=$2
+MODE=$3
+
+WORKLOADS="is.D mg.D bfs.22"
+DESIGNS="CascadeLake Alloy BEAR NDC TDRAM TDRAM-noprobe Ideal NoCache
+TicToc Banshee"
+PAGE_INVARIANT=" NDC TDRAM TDRAM-noprobe "
+
+[ -x "$CLI" ] || { echo "FAIL: missing $CLI"; exit 1; }
+
+WORK=$(mktemp -d) || exit 1
+trap 'rm -rf "$WORK"' EXIT
+
+sha() { sha256sum "$1" | cut -d' ' -f1; }
+
+# run_cell <workload> <design> <closed|open>: leaves $WORK/cell.out
+# and $WORK/cell.tdt behind; exits the script on a failed run.
+run_cell()
+{
+    page_flag=""
+    [ "$3" = open ] && page_flag=--open-page
+    "$CLI" run "$1" "$2" --ops 1500 --csv --stats --check $page_flag \
+        --trace "$WORK/cell.tdt" > "$WORK/cell.out" || {
+        echo "FAIL: $1 $2 $3 exited nonzero"
+        exit 1
+    }
+}
+
+# golden_row <workload> <design> <page>: "<stdout sha> <trace sha>"
+# of the row the cell must match (the closed-page row for a
+# page-invariant design).
+golden_row()
+{
+    page=$3
+    case "$PAGE_INVARIANT" in *" $2 "*) page=closed ;; esac
+    awk -v w="$1" -v d="$2" -v p="$page" \
+        '$1 == w && $2 == d && $3 == p { print $4, $5 }' "$GOLDEN"
+}
+
+# compare <workload> <design> <page>: hashes $WORK/cell.{out,tdt}
+# against the golden row; nonzero (with a message) on any mismatch.
+compare()
+{
+    want=$(golden_row "$1" "$2" "$3")
+    [ -n "$want" ] || { echo "FAIL: no golden row for $1 $2 $3"; return 1; }
+    got="$(sha "$WORK/cell.out") $(sha "$WORK/cell.tdt")"
+    [ "$got" = "$want" ] && return 0
+    echo "FAIL: $1 $2 $3: stdout/trace sha256 '$got' != golden '$want'"
+    return 1
+}
+
+case "$MODE" in
+check)
+    wl=$4
+    fails=0
+    for d in $DESIGNS; do
+        for p in closed open; do
+            run_cell "$wl" "$d" "$p"
+            compare "$wl" "$d" "$p" || fails=$((fails + 1))
+            rm -f "$WORK/cell.tdt"
+        done
+    done
+    [ "$fails" -eq 0 ] || { echo "$fails cell(s) of $wl diverged"; exit 1; }
+    echo "$wl: all 20 cells match $GOLDEN"
+    ;;
+canary)
+    run_cell is.D TDRAM closed
+    compare is.D TDRAM closed || exit 1
+    cp "$WORK/cell.tdt" "$WORK/clean.tdt"
+    # Flip one byte inside the first record's tick field (the .tdt
+    # header is 32 B), then one byte of the CSV row in the stdout.
+    printf '\377' | dd of="$WORK/cell.tdt" bs=1 seek=32 count=1 \
+        conv=notrunc 2>/dev/null
+    if compare is.D TDRAM closed > /dev/null; then
+        echo "FAIL: a flipped trace byte was not detected"
+        exit 1
+    fi
+    mv "$WORK/clean.tdt" "$WORK/cell.tdt"
+    printf '\377' | dd of="$WORK/cell.out" bs=1 seek=200 count=1 \
+        conv=notrunc 2>/dev/null
+    if compare is.D TDRAM closed > /dev/null; then
+        echo "FAIL: a flipped stdout byte was not detected"
+        exit 1
+    fi
+    echo "canary: flipped stdout and trace bytes both detected"
+    ;;
+generate)
+    for wl in $WORKLOADS; do
+        for d in $DESIGNS; do
+            for p in closed open; do
+                run_cell "$wl" "$d" "$p"
+                row="$(sha "$WORK/cell.out") $(sha "$WORK/cell.tdt")"
+                rm -f "$WORK/cell.tdt"
+                case "$PAGE_INVARIANT" in
+                *" $d "*)
+                    if [ "$p" = closed ]; then
+                        closed_row=$row
+                        echo "$wl $d closed $row"
+                    elif [ "$row" != "$closed_row" ]; then
+                        echo "FAIL: $wl $d open-page != closed-page" >&2
+                        exit 1
+                    fi
+                    ;;
+                *) echo "$wl $d $p $row" ;;
+                esac
+            done
+        done
+    done
+    ;;
+*)
+    echo "usage: $0 <tdram_cli> <golden> check <workload>|canary|generate"
+    exit 2
+    ;;
+esac
