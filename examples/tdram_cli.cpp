@@ -23,7 +23,6 @@
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "system/system.hh"
@@ -51,9 +50,6 @@ struct CliOptions
     std::string replayPath; ///< .tdtz input (replay front end)
     ReplayMode replayMode = ReplayMode::Timed;
     unsigned replayMlp = 0;  ///< outstanding-read cap; 0 = unlimited
-    bool threadsSet = false;  ///< --threads given (0 = single-queue)
-    unsigned threads = 0;     ///< shard-engine execution threads
-    std::uint64_t window = 0; ///< shard window override in ticks
 };
 
 [[noreturn]] void
@@ -68,7 +64,6 @@ usage()
         "options: --ops N --warmup N --seed N --capacity MiB\n"
         "         --ways W --no-probe --open-page --predictor\n"
         "         --stats --csv --json --trace PATH --check\n"
-        "         --threads N --window TICKS\n"
         "         --replay FILE.tdtz --replay-mode timed|afap\n"
         "         --replay-mlp N\n"
         "  --trace writes a .tdt event trace (run: exactly PATH;\n"
@@ -81,13 +76,7 @@ usage()
         "  the controller accepts. --replay-mlp caps outstanding\n"
         "  reads (0 = unlimited).\n"
         "  --check audits every command with the inline protocol\n"
-        "  checker (exit 1 on any violation)\n"
-        "  --threads runs the sharded engine (one shard per DRAM\n"
-        "  channel); output is byte-identical for any N, and N=0\n"
-        "  auto-detects the hardware thread count. Omit the flag\n"
-        "  for the classic single-queue engine.\n"
-        "  --window overrides the shard window width in ticks\n"
-        "  (default: the minimum tBURST over all channels)\n");
+        "  checker (exit 1 on any violation)\n");
     std::exit(1);
 }
 
@@ -144,17 +133,6 @@ parseOptions(int argc, char **argv, int first)
             o.replayMlp = static_cast<unsigned>(next());
         } else if (a == "--check") {
             o.check = true;
-        } else if (a == "--threads") {
-            o.threadsSet = true;
-            o.threads = static_cast<unsigned>(next());
-            if (o.threads == 0) {
-                // Satellite of the sharding work: 0 auto-detects
-                // instead of erroring (mirrors SweepRunner --jobs 0).
-                const unsigned hw = std::thread::hardware_concurrency();
-                o.threads = hw ? hw : 1;
-            }
-        } else if (a == "--window") {
-            o.window = next();
         } else {
             std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
             usage();
@@ -201,10 +179,6 @@ makeConfig(const CliOptions &o, Design d)
     cfg.replay.path = o.replayPath;
     cfg.replay.mode = o.replayMode;
     cfg.replay.mlp = o.replayMlp;
-    if (o.threadsSet) {
-        cfg.threads = o.threads;
-        cfg.shardWindow = o.window;
-    }
     if (o.check && !checkCompiledIn()) {
         std::fprintf(stderr,
                      "warning: --check requested but the protocol "

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "dram/shard_relay.hh"
-
 namespace tsim
 {
 
@@ -47,21 +45,9 @@ DramCacheCtrl::DramCacheCtrl(EventQueue &eq, std::string name,
     _burstBytes = static_cast<unsigned>(
         lineBytes * cfg.timing.burstScale + 0.5);
 
-    panic_if(!cfg.channelQueues.empty() &&
-                 (cfg.channelQueues.size() != cfg.channels ||
-                  cfg.channelOutboxes.size() != cfg.channels),
-             "sharded mode needs one queue and one outbox per channel");
-    _outboxes = cfg.channelOutboxes;
-
     for (unsigned c = 0; c < cfg.channels; ++c) {
-        // Sharded mode: the channel runs on its own per-shard queue;
-        // its tag peeks stay direct (side-effect free, and the tags
-        // only change while channels are quiescent), but completion
-        // hooks must relay through the shard outbox.
-        EventQueue &ceq =
-            cfg.channelQueues.empty() ? eq : *cfg.channelQueues[c];
         auto ch = std::make_unique<DramChannel>(
-            ceq, this->name() + ".ch" + std::to_string(c), chan_cfg,
+            eq, this->name() + ".ch" + std::to_string(c), chan_cfg,
             _map);
         if (chan_cfg.inDramTags) {
             ch->peekTags = [this](Addr a) { return _tags.peek(a); };
@@ -72,10 +58,6 @@ DramCacheCtrl::DramCacheCtrl(EventQueue &eq, std::string name,
                 accountCache(0, lineBytes, 0);
                 mmWrite(victim);
             };
-            if (!_outboxes.empty()) {
-                ch->onFlushArrive = relayWrapFlush(
-                    std::move(ch->onFlushArrive), *_outboxes[c]);
-            }
         }
         _chans.push_back(std::move(ch));
     }
@@ -345,10 +327,6 @@ DramCacheCtrl::enqueueChan(ChanReq req, bool is_write)
     const bool space =
         is_write ? ch.canAcceptWrite() : ch.canAcceptRead();
     if (space) {
-        // Wrap at the final hand-off only, so the queue-full retry
-        // below never wraps a request twice.
-        if (!_outboxes.empty())
-            relayWrapReq(req, *_outboxes[chanIdx(req.addr)]);
         ch.enqueue(std::move(req));
         return;
     }

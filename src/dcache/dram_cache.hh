@@ -34,8 +34,6 @@
 namespace tsim
 {
 
-class ShardOutbox;
-
 /** The DRAM-cache designs evaluated in the paper. */
 enum class Design : std::uint8_t
 {
@@ -84,17 +82,6 @@ struct DramCacheConfig
      * contribution of the column-gating mechanism (§III-C3).
      */
     bool tdramConditionalColumn = true;
-
-    /**
-     * Sharded mode (DESIGN.md §12): one private EventQueue and one
-     * outbox per channel, owned by the System's ShardSim. When set
-     * (both must have `channels` entries), each channel runs on its
-     * own shard and every completion callback handed to a channel is
-     * relay-wrapped to post into the channel's outbox. Empty vectors
-     * select the single-queue engine.
-     */
-    std::vector<EventQueue *> channelQueues;
-    std::vector<ShardOutbox *> channelOutboxes;
 };
 
 /** Abstract DRAM-cache controller. */
@@ -406,8 +393,6 @@ class DramCacheCtrl : public SimObject
     TagArray _tags;
     AddressMap _map;
     std::vector<std::unique_ptr<DramChannel>> _chans;
-    /** Per-channel cross-shard outboxes (empty in single-queue mode). */
-    std::vector<ShardOutbox *> _outboxes;
     MainMemory &_mm;
 
   private:

@@ -42,7 +42,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <type_traits>
 #include <vector>
 
@@ -198,8 +197,6 @@ class DramChannel : public SimObject
      * Announce a page-grain remap-table install (Banshee). Emits a
      * Remap record ahead of the group's fill/spill traffic so the
      * checker can audit page-fill lockstep and remap consistency.
-     * Called from the controller (superstep phase A in sharded runs,
-     * when channel shards are quiescent — race-free by construction).
      */
     void noteRemap(Tick when, Addr page, Addr victim,
                    std::uint32_t extra);
@@ -218,14 +215,10 @@ class DramChannel : public SimObject
      * Functional tag peek, supplied by the DRAM-cache front-end.
      * Required when inDramTags is set; must be side-effect free.
      */
-    // tdram-lint:allow(hot-alloc): installed once at wiring time and
-    // only *invoked* per event; invocation never allocates.
-    std::function<TagResult(Addr)> peekTags;
+    InlineCallable<TagResult(Addr), 64> peekTags;
 
     /** Victim line from the flush buffer arrived at the controller. */
-    // tdram-lint:allow(hot-alloc): installed once at wiring time and
-    // only *invoked* per event; invocation never allocates.
-    std::function<void(Addr, Tick)> onFlushArrive;
+    InlineCallable<void(Addr, Tick), 64> onFlushArrive;
 
     /**
      * Optional cycle-level event-trace sink (DESIGN.md §10); null

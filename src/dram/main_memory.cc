@@ -1,7 +1,5 @@
 #include "dram/main_memory.hh"
 
-#include "dram/shard_relay.hh"
-
 namespace tsim
 {
 
@@ -20,16 +18,9 @@ MainMemory::MainMemory(EventQueue &eq, std::string name,
     ccfg.refreshEnabled = cfg.refreshEnabled;
     ccfg.writeHigh = cfg.writeQCap * 3 / 4;
     ccfg.writeLow = cfg.writeQCap / 4;
-    panic_if(!cfg.channelQueues.empty() &&
-                 (cfg.channelQueues.size() != cfg.channels ||
-                  cfg.channelOutboxes.size() != cfg.channels),
-             "sharded mode needs one queue and one outbox per channel");
-    _outboxes = cfg.channelOutboxes;
     for (unsigned c = 0; c < cfg.channels; ++c) {
-        EventQueue &ceq =
-            cfg.channelQueues.empty() ? eq : *cfg.channelQueues[c];
         _chans.push_back(std::make_unique<DramChannel>(
-            ceq, this->name() + ".ch" + std::to_string(c), ccfg,
+            eq, this->name() + ".ch" + std::to_string(c), ccfg,
             _map));
     }
 }
@@ -71,11 +62,6 @@ MainMemory::write(Addr addr)
 void
 MainMemory::submit(unsigned chan, ChanReq req, bool is_write)
 {
-    // Sharded mode: relay-wrap before the request can reach the
-    // channel — directly below, or later via drainFront (which runs
-    // on the front shard, so the parked copy is already wrapped).
-    if (!_outboxes.empty())
-        relayWrapReq(req, *_outboxes[chan]);
     auto &front = _front[chan];
     DramChannel &ch = *_chans[chan];
     const bool space =

@@ -28,8 +28,6 @@
 namespace tsim
 {
 
-class ShardOutbox;
-
 /**
  * Completion callback for a main-memory read. 16 bytes of inline
  * storage: every production caller captures a component pointer plus
@@ -51,14 +49,6 @@ struct MainMemoryConfig
     unsigned readQCap = 64;
     unsigned writeQCap = 64;
     bool refreshEnabled = true;
-
-    /**
-     * Sharded mode (DESIGN.md §12): per-channel event queues and
-     * outboxes owned by the System's ShardSim; both need `channels`
-     * entries when set. Empty selects the single-queue engine.
-     */
-    std::vector<EventQueue *> channelQueues;
-    std::vector<ShardOutbox *> channelOutboxes;
 };
 
 /** The DDR5 backing store. */
@@ -105,8 +95,6 @@ class MainMemory : public SimObject
     MainMemoryConfig _cfg;
     AddressMap _map;
     std::vector<std::unique_ptr<DramChannel>> _chans;
-    /** Per-channel cross-shard outboxes (empty in single-queue mode). */
-    std::vector<ShardOutbox *> _outboxes;
     std::vector<std::deque<Pending>> _front;
     std::uint64_t _nextId = 1;
 };

@@ -131,30 +131,6 @@ class EventQueue
         return executed;
     }
 
-    /**
-     * Run every event strictly before @p bound, then advance the
-     * clock to @p bound. The window-based shard engine uses this as
-     * its phase primitive: a window [k*W, (k+1)*W) owns the ticks up
-     * to but excluding its upper bound, so an event scheduled exactly
-     * at a window boundary executes in the *next* window — the one
-     * whose half-open interval starts at that tick. (Contrast with
-     * run(), whose limit is inclusive.)
-     *
-     * @return number of events executed.
-     */
-    std::uint64_t
-    runBefore(Tick bound)
-    {
-        std::uint64_t executed = 0;
-        while (prepare() && _pool[_readyHead].when < bound) {
-            popAndRun();
-            ++executed;
-        }
-        if (_curTick < bound)
-            _curTick = bound;
-        return executed;
-    }
-
     /** Execute exactly one event, if any. @return true if one ran. */
     bool
     step()

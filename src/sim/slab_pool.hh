@@ -6,10 +6,10 @@
  * alive across an arbitrary dance of channel callbacks, main-memory
  * completions and MSHR queues. The seed used std::shared_ptr, which
  * costs one control-block allocation per demand plus atomic ref
- * traffic on the front shard's hottest path. SlabPool replaces that
+ * traffic on the controller's hottest path. SlabPool replaces that
  * with recycled slots carved from chunked slabs and a non-atomic
- * intrusive refcount (the front shard is single-threaded by
- * construction — DESIGN.md §12 — so plain increments suffice), while
+ * intrusive refcount (a System runs on one thread, so plain
+ * increments suffice), while
  * PoolRef keeps the exact shared_ptr lifetime semantics the protocol
  * flows rely on: a completion callback may legally outlive finish()
  * and release().
@@ -97,7 +97,7 @@ struct PoolItem
 /**
  * 8-byte smart pointer to a pooled @p T with shared-ownership
  * semantics. Copy adds a ref; the slot is recycled when the last ref
- * drops. Not thread-safe — single-shard use only.
+ * drops. Not thread-safe — one simulation thread only.
  */
 template <typename T>
 class PoolRef

@@ -126,20 +126,6 @@ SweepRunner::forEach(std::size_t n,
 std::vector<SimReport>
 SweepRunner::run(const std::vector<SweepJob> &jobs) const
 {
-    // Sweep-level workers multiply with each run's intra-run shard
-    // threads; past the hardware thread count that only adds
-    // contention (determinism is unaffected either way), so warn.
-    unsigned inner = 1;
-    for (const SweepJob &j : jobs)
-        inner = std::max(inner, std::max(1u, j.cfg.threads));
-    const unsigned hw = std::thread::hardware_concurrency();
-    if (hw && inner > 1 && _jobs * inner > hw) {
-        std::fprintf(stderr,
-                     "[sweep] warning: %u sweep worker(s) x %u "
-                     "intra-run thread(s) oversubscribes %u hardware "
-                     "thread(s); prefer --jobs x --threads <= cores\n",
-                     _jobs, inner, hw);
-    }
     // tdram-lint:allow(hot-alloc): one report slot per sweep job,
     // allocated before any simulation starts.
     std::vector<SimReport> reports(jobs.size());

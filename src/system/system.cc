@@ -55,47 +55,8 @@ System::System(const SystemConfig &cfg, const WorkloadProfile &workload)
     dc_cfg.tdramConditionalColumn = cfg.tdramConditionalColumn;
     dc_cfg.pagePolicy = cfg.dcachePagePolicy;
 
-    if (cfg.threads > 0) {
-        // Sharded engine: shard s is DRAM-cache channel s for
-        // s < dcacheChannels, then the main-memory channels. The
-        // shard structure depends only on the configuration, never
-        // on the thread count.
-        const unsigned dc_ch = cfg.dcacheChannels;
-        const unsigned mm_ch = cfg.mmChannels;
-        _shard = std::make_unique<ShardSim>(dc_ch + mm_ch,
-                                            cfg.threads);
-        for (unsigned c = 0; c < dc_ch; ++c) {
-            dc_cfg.channelQueues.push_back(&_shard->queue(c));
-            dc_cfg.channelOutboxes.push_back(&_shard->outbox(c));
-        }
-        for (unsigned c = 0; c < mm_ch; ++c) {
-            mm_cfg.channelQueues.push_back(
-                &_shard->queue(dc_ch + c));
-            mm_cfg.channelOutboxes.push_back(
-                &_shard->outbox(dc_ch + c));
-        }
-    }
-
     _mm = std::make_unique<MainMemory>(_eq, "mm", mm_cfg);
     _dcache = makeDramCache(_eq, cfg.design, dc_cfg, *_mm);
-
-    if (_shard) {
-        // Conservative window: the finest command granularity on any
-        // DQ bus unless the config pins an explicit width.
-        Tick w = cfg.shardWindow;
-        if (w == 0) {
-            w = maxTick;
-            for (unsigned c = 0; c < _dcache->numChannels(); ++c)
-                w = std::min(
-                    w, _dcache->channel(c).config().timing.tBURST);
-            for (unsigned c = 0; c < _mm->numChannels(); ++c)
-                w = std::min(
-                    w, _mm->channel(c).config().timing.tBURST);
-        }
-        panic_if(w == 0 || w == maxTick,
-                 "cannot derive a shard window from the timings");
-        _shard->setWindow(w);
-    }
 
     if (!cfg.replay.path.empty()) {
         _engine = std::make_unique<TraceReplayEngine>(
@@ -122,14 +83,6 @@ System::System(const SystemConfig &cfg, const WorkloadProfile &workload)
         for (unsigned c = 0; c < mm; ++c)
             _mm->channel(c).traceBuf = &_tracer->buffer(dc + c);
         _dcache->traceBuf = &_tracer->buffer(dc + mm);
-        if (_shard) {
-            // Channel buffers are written during phase B (worker
-            // threads): park their records and let the coordinator
-            // merge them in buffer-id order between supersteps. The
-            // demand buffer stays live — it only records in phase A.
-            for (unsigned c = 0; c < dc + mm; ++c)
-                _tracer->buffer(c).setDeferred(true);
-        }
     }
 
     if (cfg.checkProtocol && checkCompiledIn()) {
@@ -138,52 +91,23 @@ System::System(const SystemConfig &cfg, const WorkloadProfile &workload)
         // inline and offline audits of one run agree index-for-index.
         const unsigned dc = _dcache->numChannels();
         const unsigned mm = _mm->numChannels();
-        if (_shard) {
-            // One checker instance per shard plus one for the demand
-            // front-end, so no two threads share checker state. Each
-            // instance is padded with placeholder channels so its
-            // real channel keeps the global id of the layout above.
-            auto padded = [](unsigned id) {
-                auto ck = std::make_unique<ProtocolChecker>();
-                for (unsigned i = 0; i < id; ++i)
-                    ck->addChannel(CheckerConfig{});
-                return ck;
-            };
-            for (unsigned c = 0; c < dc + mm; ++c) {
-                DramChannel &chan = c < dc
-                                        ? _dcache->channel(c)
-                                        : _mm->channel(c - dc);
-                auto ck = padded(c);
-                chan.checker = ck.get();
-                chan.checkChannel =
-                    ck->addChannel(checkerConfigOf(chan.config()));
-                _shardCheckers.push_back(std::move(ck));
-            }
-            CheckerConfig demand_cfg;
-            demand_cfg.demandOnly = true;
-            auto ck = padded(dc + mm);
-            _dcache->checker = ck.get();
-            _dcache->checkChannel = ck->addChannel(demand_cfg);
-            _shardCheckers.push_back(std::move(ck));
-        } else {
-            _checker = std::make_unique<ProtocolChecker>();
-            for (unsigned c = 0; c < dc; ++c) {
-                DramChannel &chan = _dcache->channel(c);
-                chan.checker = _checker.get();
-                chan.checkChannel = _checker->addChannel(
-                    checkerConfigOf(chan.config()));
-            }
-            for (unsigned c = 0; c < mm; ++c) {
-                DramChannel &chan = _mm->channel(c);
-                chan.checker = _checker.get();
-                chan.checkChannel = _checker->addChannel(
-                    checkerConfigOf(chan.config()));
-            }
-            CheckerConfig demand_cfg;
-            demand_cfg.demandOnly = true;
-            _dcache->checker = _checker.get();
-            _dcache->checkChannel = _checker->addChannel(demand_cfg);
+        _checker = std::make_unique<ProtocolChecker>();
+        for (unsigned c = 0; c < dc; ++c) {
+            DramChannel &chan = _dcache->channel(c);
+            chan.checker = _checker.get();
+            chan.checkChannel = _checker->addChannel(
+                checkerConfigOf(chan.config()));
         }
+        for (unsigned c = 0; c < mm; ++c) {
+            DramChannel &chan = _mm->channel(c);
+            chan.checker = _checker.get();
+            chan.checkChannel = _checker->addChannel(
+                checkerConfigOf(chan.config()));
+        }
+        CheckerConfig demand_cfg;
+        demand_cfg.demandOnly = true;
+        _dcache->checker = _checker.get();
+        _dcache->checkChannel = _checker->addChannel(demand_cfg);
     }
 }
 
@@ -194,75 +118,25 @@ System::run()
     std::uint64_t events = 0;
     _engine->warmup(_cfg.warmupOpsPerCore);
     _engine->start();
-    if (_shard) {
-        events = runSharded();
-    } else {
-        // Keep stepping past done() until fire-and-forget writes
-        // still in flight have responded (and design-internal
-        // maintenance like page-fill groups has drained), so the
-        // checker sees every demand paired and no operation is cut
-        // off mid-flight.
-        while (!_engine->done() || _dcache->inFlightDemands() > 0 ||
-               !_dcache->quiescent()) {
-            if (!_eq.step())
-                panic(
-                    "event queue drained before the workload finished");
-            ++events;
-            if (_eq.curTick() > _cfg.maxRuntime) {
-                _dcache->dumpDebug(stderr);
-                _engine->dumpDebug(stderr);
-                panic("run exceeded maxRuntime (%0.1f ms simulated) "
-                      "on %s/%s",
-                      ticksToNs(_cfg.maxRuntime) * 1e-6,
-                      designName(_cfg.design), _workload.name.c_str());
-            }
-        }
-    }
-    return collectReport(events, timer.seconds());
-}
-
-std::uint64_t
-System::runSharded()
-{
-    // Superstep k runs the half-open window [k*W, (k+1)*W): first
-    // the front shard alone (phase A — it may poke the quiescent
-    // channels directly), then every channel shard in parallel
-    // (phase B — completions relay through the outboxes). The
-    // boundary then merges the parked trace records in buffer-id
-    // order and drains the outboxes in shard order, which fixes the
-    // full event interleaving independent of the thread count.
-    std::uint64_t events = 0;
-    const Tick w = _shard->window();
-    Tick bound = w;
-    for (;;) {
-        events += _eq.runBefore(bound);
-        events += _shard->runChannelPhase(bound);
-        if (_tracer)
-            _tracer->commitDeferred();
-        _shard->drainOutboxes(_eq);
+    // Keep stepping past done() until fire-and-forget writes still in
+    // flight have responded (and design-internal maintenance like
+    // page-fill groups has drained), so the checker sees every demand
+    // paired and no operation is cut off mid-flight.
+    while (!_engine->done() || _dcache->inFlightDemands() > 0 ||
+           !_dcache->quiescent()) {
+        if (!_eq.step())
+            panic("event queue drained before the workload finished");
+        ++events;
         if (_eq.curTick() > _cfg.maxRuntime) {
             _dcache->dumpDebug(stderr);
             _engine->dumpDebug(stderr);
-            panic("run exceeded maxRuntime (%0.1f ms simulated) "
-                  "on %s/%s",
+            panic("run exceeded maxRuntime (%0.1f ms simulated) on "
+                  "%s/%s",
                   ticksToNs(_cfg.maxRuntime) * 1e-6,
                   designName(_cfg.design), _workload.name.c_str());
         }
-        // Same drain rule as the single-queue loop: run supersteps
-        // until the last in-flight demand responded. The counter is
-        // only read at window boundaries, so the exit superstep is a
-        // pure function of the schedule, not of the thread count.
-        if (_engine->done() && _dcache->inFlightDemands() == 0 &&
-            _dcache->quiescent())
-            return events;
-        // Jump over empty windows: the next superstep is the one
-        // whose window owns the earliest pending event anywhere.
-        const Tick next = std::min(_eq.nextEventTick(),
-                                   _shard->nextEventTick());
-        if (next == maxTick)
-            panic("event queue drained before the workload finished");
-        bound = (next / w + 1) * w;
     }
+    return collectReport(events, timer.seconds());
 }
 
 SimReport
@@ -342,23 +216,12 @@ System::collectReport(std::uint64_t events, double host_seconds)
         r.hostPerf.chanKicks += _mm->channel(c).hostKicks;
         r.hostPerf.chanScans += _mm->channel(c).hostScanSteps;
     }
-    if (_tracer) {
-        _tracer->commitDeferred();
+    if (_tracer)
         _tracer->flushAll();
-    }
-    // Fold the checker verdicts: either the single shared instance,
-    // or the per-shard instances in ascending shard order (channels
-    // first, demand front-end last) — a fixed order, so the merged
-    // counts and the violation print-out are thread-count-invariant.
-    std::vector<ProtocolChecker *> checkers;
-    if (_checker)
-        checkers.push_back(_checker.get());
-    for (const auto &ck : _shardCheckers)
-        checkers.push_back(ck.get());
-    for (ProtocolChecker *ck : checkers) {
-        ck->finish();
-        r.checkEvents += ck->eventsChecked();
-        r.checkViolations += ck->violationCount();
+    if (_checker) {
+        _checker->finish();
+        r.checkEvents = _checker->eventsChecked();
+        r.checkViolations = _checker->violationCount();
     }
     if (r.checkViolations > 0) {
         std::fprintf(stderr,
@@ -368,12 +231,9 @@ System::collectReport(std::uint64_t events, double host_seconds)
                      static_cast<unsigned long long>(
                          r.checkViolations),
                      static_cast<unsigned long long>(r.checkEvents));
-        for (ProtocolChecker *ck : checkers) {
-            for (const CheckViolation &v : ck->violations()) {
-                std::fprintf(
-                    stderr, "[check]   %s\n",
-                    ProtocolChecker::formatViolation(v).c_str());
-            }
+        for (const CheckViolation &v : _checker->violations()) {
+            std::fprintf(stderr, "[check]   %s\n",
+                         ProtocolChecker::formatViolation(v).c_str());
         }
     }
     return r;

@@ -17,7 +17,6 @@
 #include "dram/main_memory.hh"
 #include "energy/energy.hh"
 #include "sim/event_queue.hh"
-#include "sim/shard.hh"
 #include "stats/host_perf.hh"
 #include "workload/core_engine.hh"
 #include "workload/profiles.hh"
@@ -72,28 +71,6 @@ struct SystemConfig
 
     /** Simulated-time safety net; a run past this is a bug. */
     Tick maxRuntime = nsToTicks(2.0e9);
-
-    /**
-     * Sharded execution (DESIGN.md §12). 0 runs the classic
-     * single-queue engine. N >= 1 runs the window-based shard engine
-     * with N execution threads (the coordinator plus N-1 workers);
-     * every N produces byte-identical traces, stats, and checker
-     * results — `threads == 1` is the canonical serial schedule the
-     * parallel runs must reproduce. Note the shard engine's bounded
-     * command/completion skew makes its outputs deliberately
-     * comparable only against other sharded runs, not against
-     * `threads == 0`.
-     */
-    unsigned threads = 0;
-
-    /**
-     * Shard window width W in ticks; 0 derives it as the minimum
-     * tBURST over all channels. Cross-shard completions are
-     * delivered exactly W ticks after emission, and commands reach a
-     * channel at most W-1 ticks before their issue tick, so W bounds
-     * the skew against an unsharded run.
-     */
-    Tick shardWindow = 0;
 };
 
 /** Results of one run (the raw material of every figure/table). */
@@ -194,37 +171,22 @@ class System
     const SystemConfig &config() const { return _cfg; }
     Tracer *tracer() { return _tracer.get(); }
     ProtocolChecker *checker() { return _checker.get(); }
-    ShardSim *shardSim() { return _shard.get(); }
 
     /** Dump all registered stats (debugging / examples). */
     void dumpStats(std::ostream &os) const;
 
   private:
-    /** Superstep loop of the sharded engine (cfg.threads >= 1). */
-    std::uint64_t runSharded();
-
     /** Assemble the report after the event loop finished. */
     SimReport collectReport(std::uint64_t events, double host_seconds);
 
     SystemConfig _cfg;
     WorkloadProfile _workload;
     EventQueue _eq;
-    /** Shard engine (null in single-queue mode). Constructed before
-     *  (and so destroyed after) the components whose channels run on
-     *  its queues. */
-    std::unique_ptr<ShardSim> _shard;
     std::unique_ptr<MainMemory> _mm;
     std::unique_ptr<DramCacheCtrl> _dcache;
     std::unique_ptr<RequestEngine> _engine;
     std::unique_ptr<Tracer> _tracer;
     std::unique_ptr<ProtocolChecker> _checker;
-    /**
-     * Sharded mode: one checker per channel shard (indices 0 ..
-     * dc+mm-1) plus one for the demand front-end (last entry), each
-     * padded with placeholder channels so violation reports carry
-     * the same global channel ids as the single-checker wiring.
-     */
-    std::vector<std::unique_ptr<ProtocolChecker>> _shardCheckers;
 };
 
 /** Convenience: build + run one configuration. */

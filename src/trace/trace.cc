@@ -75,21 +75,6 @@ TraceBuffer::flush()
     _size = 0;
 }
 
-void
-TraceBuffer::commitDeferred()
-{
-    for (const TraceRecord &parked : _side) {
-        if (_size == _capacity)
-            overflow();
-        TraceRecord &r = _ring[_head];
-        r = parked;
-        r.seq = nextSeq();
-        _head = _head + 1 == _capacity ? 0 : _head + 1;
-        ++_size;
-    }
-    _side.clear();
-}
-
 std::vector<TraceRecord>
 TraceBuffer::snapshot() const
 {
@@ -140,15 +125,6 @@ Tracer::sink(const TraceRecord *recs, std::size_t n)
     fatal_if(std::fwrite(recs, sizeof(TraceRecord), n, _file) != n,
              "short write to trace file '%s'", _path.c_str());
     _written += n;
-}
-
-void
-Tracer::commitDeferred()
-{
-    for (auto &b : _buffers) {
-        if (b->deferred())
-            b->commitDeferred();
-    }
 }
 
 std::uint64_t

@@ -207,22 +207,6 @@ class TraceBuffer
     record(TraceKind kind, Tick tick, std::uint64_t addr,
            std::uint16_t bank, std::uint64_t aux, std::uint32_t extra)
     {
-        if (_deferred) {
-            // Sharded mode: park the record locally without touching
-            // the owner's shared sequence counter (the emitter may be
-            // running on a worker thread); commitDeferred() assigns
-            // seqs on the coordinator at the superstep boundary.
-            TraceRecord r;
-            r.tick = tick;
-            r.addr = addr;
-            r.aux = aux;
-            r.kind = static_cast<std::uint8_t>(kind);
-            r.channel = _channel;
-            r.bank = bank;
-            r.extra = extra;
-            _side.push_back(r);
-            return;
-        }
         if (_size == _capacity)
             overflow();
         TraceRecord &r = _ring[_head];
@@ -251,20 +235,6 @@ class TraceBuffer
     /** Spill buffered records to the owner's writer (if any). */
     void flush();
 
-    /**
-     * Deferred mode (sharded runs, DESIGN.md §12): record() parks
-     * records in a thread-local side list instead of the shared ring,
-     * and the coordinator commits them between phases.
-     */
-    void setDeferred(bool deferred) { _deferred = deferred; }
-    bool deferred() const { return _deferred; }
-
-    /**
-     * Move every parked record through the normal ring path,
-     * assigning emission seqs in park order. Coordinator-only.
-     */
-    void commitDeferred();
-
   private:
     /** Full ring: spill to the file or overwrite the oldest. */
     void overflow();
@@ -278,8 +248,6 @@ class TraceBuffer
     std::uint32_t _size = 0;  ///< valid records in the ring
     std::uint64_t _dropped = 0;
     std::uint8_t _channel;
-    bool _deferred = false;
-    std::vector<TraceRecord> _side;  ///< parked deferred records
 };
 
 /**
@@ -313,13 +281,6 @@ class Tracer
 
     /** Spill every buffer and fsync the record count to the header. */
     void flushAll();
-
-    /**
-     * Commit every buffer's deferred records in ascending buffer id
-     * (the fixed merge order that makes sharded traces byte-equal
-     * for any thread count). No-op for non-deferred buffers.
-     */
-    void commitDeferred();
 
     const std::string &path() const { return _path; }
     bool sinked() const { return _file != nullptr; }

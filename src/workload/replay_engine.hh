@@ -20,8 +20,7 @@
  *
  * Like the CoreEngine, the replay engine is MLP-limited (bounded
  * outstanding reads; writes are fire-and-forget) and schedules all
- * of its events on the front shard's queue, so sharded runs
- * (--threads N) stay byte-identical for any N.
+ * of its events on the System's event queue.
  */
 
 #ifndef TSIM_WORKLOAD_REPLAY_ENGINE_HH

@@ -5,10 +5,8 @@
  * A System drives exactly one request engine: the synthetic
  * CoreEngine (generators through an L1/LLC hierarchy) or the
  * TraceReplayEngine (a recorded .tdtz request stream). Both issue
- * demands into DramCacheCtrl::access() from the front shard's event
- * queue, so the sharded-execution determinism contract (DESIGN.md
- * §12) holds for either engine without special cases. This interface
- * is the System-facing surface they share.
+ * demands into DramCacheCtrl::access() from the System's one event
+ * queue. This interface is the System-facing surface they share.
  */
 
 #ifndef TSIM_WORKLOAD_REQUEST_ENGINE_HH

@@ -1,6 +1,6 @@
 /**
  * @file
- * Implementation of the frozen pre-PR-7 front shard (see
+ * Implementation of the frozen pre-fast-path front end (see
  * legacy_frontend.hh). Copied verbatim from the production sources at
  * the snapshot point; do not "improve" it — its value is being the
  * unchanged seed behaviour.
@@ -10,8 +10,6 @@
 
 #include <algorithm>
 #include <cmath>
-
-#include "dram/shard_relay.hh"
 
 namespace tsim
 {
@@ -37,16 +35,9 @@ MainMemory::MainMemory(EventQueue &eq, std::string name,
     ccfg.refreshEnabled = cfg.refreshEnabled;
     ccfg.writeHigh = cfg.writeQCap * 3 / 4;
     ccfg.writeLow = cfg.writeQCap / 4;
-    panic_if(!cfg.channelQueues.empty() &&
-                 (cfg.channelQueues.size() != cfg.channels ||
-                  cfg.channelOutboxes.size() != cfg.channels),
-             "sharded mode needs one queue and one outbox per channel");
-    _outboxes = cfg.channelOutboxes;
     for (unsigned c = 0; c < cfg.channels; ++c) {
-        EventQueue &ceq =
-            cfg.channelQueues.empty() ? eq : *cfg.channelQueues[c];
         _chans.push_back(std::make_unique<DramChannel>(
-            ceq, this->name() + ".ch" + std::to_string(c), ccfg,
+            eq, this->name() + ".ch" + std::to_string(c), ccfg,
             _map));
     }
 }
@@ -88,8 +79,6 @@ MainMemory::write(Addr addr)
 void
 MainMemory::submit(unsigned chan, ChanReq req, bool is_write)
 {
-    if (!_outboxes.empty())
-        relayWrapReq(req, *_outboxes[chan]);
     auto &front = _front[chan];
     DramChannel &ch = *_chans[chan];
     const bool space =
@@ -164,17 +153,9 @@ DramCacheCtrl::DramCacheCtrl(EventQueue &eq, std::string name,
     _burstBytes = static_cast<unsigned>(
         lineBytes * cfg.timing.burstScale + 0.5);
 
-    panic_if(!cfg.channelQueues.empty() &&
-                 (cfg.channelQueues.size() != cfg.channels ||
-                  cfg.channelOutboxes.size() != cfg.channels),
-             "sharded mode needs one queue and one outbox per channel");
-    _outboxes = cfg.channelOutboxes;
-
     for (unsigned c = 0; c < cfg.channels; ++c) {
-        EventQueue &ceq =
-            cfg.channelQueues.empty() ? eq : *cfg.channelQueues[c];
         auto ch = std::make_unique<DramChannel>(
-            ceq, this->name() + ".ch" + std::to_string(c), chan_cfg,
+            eq, this->name() + ".ch" + std::to_string(c), chan_cfg,
             _map);
         if (chan_cfg.inDramTags) {
             ch->peekTags = [this](Addr a) { return _tags.peek(a); };
@@ -182,10 +163,6 @@ DramCacheCtrl::DramCacheCtrl(EventQueue &eq, std::string name,
                 accountCache(0, lineBytes, 0);
                 mmWrite(victim);
             };
-            if (!_outboxes.empty()) {
-                ch->onFlushArrive = relayWrapFlush(
-                    std::move(ch->onFlushArrive), *_outboxes[c]);
-            }
         }
         _chans.push_back(std::move(ch));
     }
@@ -422,8 +399,6 @@ DramCacheCtrl::enqueueChan(ChanReq req, bool is_write)
     const bool space =
         is_write ? ch.canAcceptWrite() : ch.canAcceptRead();
     if (space) {
-        if (!_outboxes.empty())
-            relayWrapReq(req, *_outboxes[chanIdx(req.addr)]);
         ch.enqueue(std::move(req));
         return;
     }

@@ -1,6 +1,6 @@
 /**
  * @file
- * Frozen pre-PR-7 front-shard snapshot (tests/bench only).
+ * Frozen pre-fast-path front-end snapshot (tests/bench only).
  *
  * Verbatim copy of the controller/core front end as it stood before
  * the zero-alloc fast-path rewrite: shared_ptr transactions,
@@ -34,7 +34,6 @@
 #include "mem/types.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
-#include "sim/shard.hh"
 #include "stats/stats.hh"
 #include "trace/trace.hh"
 #include "workload/core_engine.hh"
@@ -315,7 +314,6 @@ class MainMemory : public SimObject
     MainMemoryConfig _cfg;
     AddressMap _map;
     std::vector<std::unique_ptr<DramChannel>> _chans;
-    std::vector<ShardOutbox *> _outboxes;
     std::vector<std::deque<Pending>> _front;
     std::uint64_t _nextId = 1;
 };
@@ -430,7 +428,6 @@ class DramCacheCtrl : public SimObject
     TagArray _tags;
     AddressMap _map;
     std::vector<std::unique_ptr<DramChannel>> _chans;
-    std::vector<ShardOutbox *> _outboxes;
     MainMemory &_mm;
 
   private:

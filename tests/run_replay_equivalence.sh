@@ -4,12 +4,12 @@
 # Proves the record-once/replay-many pipeline end to end, byte-exact
 # at every step (DESIGN.md §14):
 #
-#  1. Capture: a synthetic --threads 1 run records a .tdt event
-#     trace; `trace_tool convert` projects its demand stream into a
-#     .tdtz container.
-#  2. Reference run: replaying that container (--threads 1) records
-#     its own .tdt; converting THAT trace must reproduce the original
-#     container byte for byte — the demand stream is a fixed point of
+#  1. Capture: a synthetic run records a .tdt event trace;
+#     `trace_tool convert` projects its demand stream into a .tdtz
+#     container.
+#  2. Reference run: replaying that container records its own .tdt;
+#     converting THAT trace must reproduce the original container
+#     byte for byte — the demand stream is a fixed point of
 #     capture -> convert -> replay, i.e. the engine issued exactly
 #     the recorded requests at the recorded ticks in the recorded
 #     order. (Controller-internal schedules may tie-break differently
@@ -17,7 +17,7 @@
 #     the request stream, the only thing the container stores.)
 #  3. Replay equivalence: capture -> convert -> replay of the
 #     reference run reproduces its stats/CSV dump AND its event trace
-#     byte-identically at --threads 1 and --threads 4.
+#     byte-identically, on a first replay and on a rerun.
 #  4. Canary: one flipped byte inside a frame payload must make the
 #     decoder reject the container (frame checksum) with a nonzero
 #     exit — proving the gate can actually fail.
@@ -41,20 +41,20 @@ done
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 
-run_cli() {  # run_cli <threads> <trace> <out> [extra args...]
-    local threads=$1 trace=$2 out=$3
-    shift 3
+run_cli() {  # run_cli <trace> <out> [extra args...]
+    local trace=$1 out=$2
+    shift 2
     "$CLI" run is.C TDRAM --ops 4000 --warmup 0 --csv --stats \
-        --threads "$threads" --trace "$trace" "$@" > "$out"
+        --trace "$trace" "$@" > "$out"
 }
 
 echo "=== [1/4] capture synthetic run + convert to .tdtz ==="
-run_cli 1 "$WORK/cap.tdt" "$WORK/cap.out"
+run_cli "$WORK/cap.tdt" "$WORK/cap.out"
 "$TOOL" convert "$WORK/cap.tdt" "$WORK/w.tdtz"
 "$TOOL" info "$WORK/w.tdtz"
 
 echo "=== [2/4] demand-stream fixed point ==="
-run_cli 1 "$WORK/ref.tdt" "$WORK/ref.out" --replay "$WORK/w.tdtz"
+run_cli "$WORK/ref.tdt" "$WORK/ref.out" --replay "$WORK/w.tdtz"
 "$TOOL" convert "$WORK/ref.tdt" "$WORK/ref.tdtz"
 cmp "$WORK/w.tdtz" "$WORK/ref.tdtz" || {
     echo "FAIL: replay did not reproduce the recorded demand stream"
@@ -63,23 +63,21 @@ cmp "$WORK/w.tdtz" "$WORK/ref.tdtz" || {
 }
 echo "convert(replay .tdt) == original .tdtz, byte-identical"
 
-echo "=== [3/4] capture -> convert -> replay, threads 1 and 4 ==="
+echo "=== [3/4] capture -> convert -> replay, plus a rerun ==="
 # ref.tdtz is byte-identical to w.tdtz (step 2); replaying it IS
 # replaying the convert of the reference run's capture.
-for n in 1 4; do
-    run_cli "$n" "$WORK/rep$n.tdt" "$WORK/rep$n.out" \
-        --replay "$WORK/ref.tdtz"
+for n in 1 2; do
+    run_cli "$WORK/rep$n.tdt" "$WORK/rep$n.out" --replay "$WORK/ref.tdtz"
     cmp "$WORK/ref.out" "$WORK/rep$n.out" || {
-        echo "FAIL: stats/CSV differ from the capture run" \
-             "at --threads $n"
+        echo "FAIL: stats/CSV differ from the capture run (replay $n)"
         exit 1
     }
     "$TOOL" diff "$WORK/ref.tdt" "$WORK/rep$n.tdt" > /dev/null || {
         echo "FAIL: event trace differs from the capture run" \
-             "at --threads $n"
+             "(replay $n)"
         exit 1
     }
-    echo "--threads $n: stats and trace byte-identical to capture"
+    echo "replay $n: stats and trace byte-identical to capture"
 done
 
 echo "=== [4/4] corrupt-frame canary ==="
@@ -95,7 +93,7 @@ cmp -s "$WORK/w.tdtz" "$WORK/bad.tdtz" && {
     echo "FAIL: canary byte flip was a no-op"
     exit 1
 }
-if run_cli 1 "$WORK/bad.tdt" "$WORK/bad.out" \
+if run_cli "$WORK/bad.tdt" "$WORK/bad.out" \
     --replay "$WORK/bad.tdtz" 2> "$WORK/bad.err"; then
     echo "FAIL: decoder accepted a corrupted container"
     exit 1

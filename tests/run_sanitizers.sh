@@ -7,12 +7,12 @@
 #                  the channel scheduler's slab pool / intrusive
 #                  lists / inline-callable moves).
 #   TSan         : SweepRunner tests, the channel stress and
-#                  old-vs-new differential schedulers, the shard-
-#                  engine determinism tests, and a 4-thread checked
-#                  end-to-end tdram_cli run — everything that spawns
-#                  threads. The rest of the simulator is single-
-#                  threaded, and a full TSan run of the whole suite
-#                  takes far longer for no extra coverage.
+#                  old-vs-new differential schedulers, the
+#                  conformance matrix, and a 4-worker end-to-end
+#                  capacity_sweep — SweepRunner is the one part of the
+#                  simulator that spawns threads. Each simulation is
+#                  single-threaded, and a full TSan run of the whole
+#                  suite takes far longer for no extra coverage.
 #
 # Usage: tests/run_sanitizers.sh [asan|ubsan|tsan ...]
 #        (no args = all three, in order)
@@ -29,23 +29,17 @@ for san in "${sanitizers[@]}"; do
     cmake --preset "$san" >/dev/null
     cmake --build "build-$san" --target tdram_tests -j "$jobs"
     [ "$san" = tsan ] &&
-        cmake --build "build-$san" --target tdram_cli -j "$jobs"
+        cmake --build "build-$san" --target capacity_sweep -j "$jobs"
 
     echo "=== [$san] run ==="
     case "$san" in
         tsan)
             TSAN_OPTIONS="halt_on_error=1" \
                 "./build-$san/tests/tdram_tests" \
-                --gtest_filter='SweepRunner*:*ChannelStress*:*ChannelSched*:*Shard*:*Conformance*'
+                --gtest_filter='SweepRunner*:*ChannelStress*:*ChannelSched*:*Conformance*'
             TSAN_OPTIONS="halt_on_error=1" \
-                "./build-$san/examples/tdram_cli" run is.C TDRAM \
-                --ops 1500 --csv --check --threads 4 > /dev/null
-            TSAN_OPTIONS="halt_on_error=1" \
-                "./build-$san/examples/tdram_cli" run is.C TicToc \
-                --ops 1500 --csv --check --threads 4 > /dev/null
-            TSAN_OPTIONS="halt_on_error=1" \
-                "./build-$san/examples/tdram_cli" run is.C Banshee \
-                --ops 1500 --csv --check --threads 4 > /dev/null
+                "./build-$san/examples/capacity_sweep" is.C 1500 \
+                --jobs 4 > /dev/null
             ;;
         asan)
             ASAN_OPTIONS="detect_leaks=1" \

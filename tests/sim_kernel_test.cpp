@@ -115,43 +115,6 @@ TEST(EventQueue, NextEventTick)
     EXPECT_EQ(eq.nextEventTick(), 42u);
 }
 
-/**
- * The shard engine's window contract: runBefore(B) owns [curTick, B)
- * — an event exactly at B belongs to the *next* window, while run(B)
- * stays inclusive. Both engines must agree on who executes a
- * boundary-tick event or serial and sharded schedules diverge.
- */
-TEST(EventQueue, RunBeforeExcludesTheWindowBound)
-{
-    constexpr Tick W = 1000;
-    EventQueue eq;
-    std::vector<Tick> fired;
-    for (Tick t : {W - 1, W, W + 1})
-        eq.schedule(t, [&fired, &eq] { fired.push_back(eq.curTick()); });
-
-    EXPECT_EQ(eq.runBefore(W), 1u);        // only W-1 is inside
-    EXPECT_EQ(fired, std::vector<Tick>({W - 1}));
-    EXPECT_EQ(eq.curTick(), W);            // time still reaches the bound
-    EXPECT_EQ(eq.nextEventTick(), W);      // boundary event still pending
-
-    EXPECT_EQ(eq.runBefore(2 * W), 2u);    // next window owns W and W+1
-    EXPECT_EQ(fired, std::vector<Tick>({W - 1, W, W + 1}));
-    EXPECT_EQ(eq.curTick(), 2 * W);
-    EXPECT_TRUE(eq.empty());
-}
-
-TEST(EventQueue, RunBeforeAdvancesOverEmptyWindows)
-{
-    EventQueue eq;
-    EXPECT_EQ(eq.runBefore(500), 0u);
-    EXPECT_EQ(eq.curTick(), 500u);
-    // Scheduling at the reached bound is legal (not the past).
-    int fired = 0;
-    eq.schedule(500, [&] { ++fired; });
-    eq.runBefore(501);
-    EXPECT_EQ(fired, 1);
-}
-
 TEST(EventQueue, StepExecutesOneEvent)
 {
     EventQueue eq;

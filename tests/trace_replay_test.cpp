@@ -3,7 +3,7 @@
  * .tdtz container + trace-replay front-end tests: encode/decode
  * round-trips, frame-boundary seeks, corruption rejection,
  * codec-independence of the record level, text-format parsing,
- * demand projection, and replay determinism across thread counts.
+ * demand projection, and replay pacing and provenance.
  */
 
 #include <gtest/gtest.h>
@@ -272,38 +272,13 @@ TEST(Tdtz, ProjectsDemandsFromEventTrace)
 }
 
 SimReport
-replayRun(const std::string &path, unsigned threads, ReplayMode mode)
+replayRun(const std::string &path, ReplayMode mode)
 {
     SystemConfig cfg;
     cfg.replay.path = path;
     cfg.replay.mode = mode;
     cfg.warmupOpsPerCore = 2000;
-    cfg.threads = threads;
     return runOne(cfg, findWorkload("is.C"));
-}
-
-TEST(TraceReplay, DeterministicAcrossThreadCounts)
-{
-    const auto recs = makeStream(20000, 11);
-    const std::string path = tmpPath("det.tdtz");
-    writeStream(path, recs, TdtzCodec::Varint, 1024);
-
-    const SimReport t1 = replayRun(path, 1, ReplayMode::Timed);
-    EXPECT_EQ(t1.replayRecords, recs.size());
-    EXPECT_EQ(t1.demandReads + t1.demandWrites, lineCount(recs));
-    for (unsigned threads : {2u, 4u}) {
-        const SimReport tn = replayRun(path, threads,
-                                       ReplayMode::Timed);
-        EXPECT_EQ(t1.runtimeTicks, tn.runtimeTicks) << threads;
-        EXPECT_EQ(t1.demandReads, tn.demandReads) << threads;
-        EXPECT_EQ(t1.demandWrites, tn.demandWrites) << threads;
-        EXPECT_DOUBLE_EQ(t1.missRatio, tn.missRatio) << threads;
-        EXPECT_DOUBLE_EQ(t1.demandReadLatencyNs,
-                         tn.demandReadLatencyNs)
-            << threads;
-        EXPECT_DOUBLE_EQ(t1.energy.totalJ(), tn.energy.totalJ())
-            << threads;
-    }
 }
 
 TEST(TraceReplay, AfapFinishesFasterThanTimed)
@@ -315,8 +290,8 @@ TEST(TraceReplay, AfapFinishesFasterThanTimed)
     const std::string path = tmpPath("afap.tdtz");
     writeStream(path, recs, TdtzCodec::Varint, 1024);
 
-    const SimReport timed = replayRun(path, 0, ReplayMode::Timed);
-    const SimReport afap = replayRun(path, 0, ReplayMode::Afap);
+    const SimReport timed = replayRun(path, ReplayMode::Timed);
+    const SimReport afap = replayRun(path, ReplayMode::Afap);
     EXPECT_EQ(timed.demandReads + timed.demandWrites,
               lineCount(recs));
     EXPECT_EQ(afap.demandReads + afap.demandWrites,
@@ -332,7 +307,7 @@ TEST(TraceReplay, ReportCarriesProvenance)
     const std::string path = tmpPath("prov.tdtz");
     writeStream(path, recs, TdtzCodec::Varint, 1024);
 
-    const SimReport r = replayRun(path, 0, ReplayMode::Timed);
+    const SimReport r = replayRun(path, ReplayMode::Timed);
     EXPECT_EQ(r.replaySource, path);
     EXPECT_EQ(r.replayMode, "timed");
     EXPECT_EQ(r.replayRecords, recs.size());

@@ -3,7 +3,7 @@
  * tdram_lint — project-specific static analyzer (DESIGN.md §15).
  *
  * The repro's headline claims — byte-identical traces/stats/checker
- * verdicts for every `--threads N`, and ~0 allocs/event on the hot
+ * verdicts across reruns and `--jobs N`, and ~0 allocs/event on the hot
  * path — are enforced dynamically by golden hashes, nm link gates and
  * sanitizer runs, but nothing *static* stops a new controller from
  * quietly reintroducing a heap allocation per event or an iteration
