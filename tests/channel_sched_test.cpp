@@ -17,6 +17,7 @@
 
 #include <cstdio>
 #include <functional>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -40,6 +41,15 @@ struct SchedParam
     bool probe;
     PagePolicy page;
 };
+
+// Test listings print the case name, not the struct's raw bytes: those
+// hold a string pointer that moves with every build and, under ASLR,
+// every run, so the listed test names would never be stable.
+void
+PrintTo(const SchedParam &p, std::ostream *os)
+{
+    *os << p.name;
+}
 
 /** One pre-generated request, independent of any channel state. */
 struct StreamItem

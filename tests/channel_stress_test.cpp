@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <map>
+#include <ostream>
 #include <vector>
 
 #include "dram/channel.hh"
@@ -29,6 +30,15 @@ struct StressParam
     bool hmAtColumn;
     bool probe;
 };
+
+// Test listings print the case name, not the struct's raw bytes: those
+// hold a string pointer that moves with every build and, under ASLR,
+// every run, so the listed test names would never be stable.
+void
+PrintTo(const StressParam &p, std::ostream *os)
+{
+    *os << p.name;
+}
 
 class ChannelStress : public ::testing::TestWithParam<StressParam>
 {};

@@ -8,8 +8,9 @@
  *
  *  - checker-clean: zero inline protocol violations over a non-empty
  *    event stream;
- *  - byte-identical: rerunning the same configuration reproduces the
- *    stats dump and the .tdt trace exactly;
+ *  - byte-identical: rerunning the same configuration on another host
+ *    thread (as SweepRunner's workers do) reproduces the stats dump
+ *    and the .tdt trace exactly;
  *  - policy-conformant: TicToc never issues a clean writeback (its
  *    main-memory write count equals its write-miss-over-dirty-victim
  *    count exactly), and Banshee's fill count matches the remap
@@ -28,6 +29,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -175,12 +177,18 @@ class Conformance
 {
 };
 
-TEST_P(Conformance, CheckerCleanAndByteIdenticalAcrossReruns)
+TEST_P(Conformance, CheckerCleanAndByteIdenticalAcrossThreads)
 {
     const auto [design, policy] = GetParam();
 
+    // Once on the test's thread, once on a fresh worker thread: a run
+    // must not depend on which host thread executes it.
     const RunOutput a = runCase(design, policy, "a");
-    const RunOutput b = runCase(design, policy, "b");
+    RunOutput worker_out;
+    std::thread worker(
+        [&] { worker_out = runCase(design, policy, "b"); });
+    worker.join();
+    const RunOutput &b = worker_out;
 
     // Checker-clean on both runs, over a non-empty stream.
     for (const RunOutput *r : {&a, &b}) {
@@ -188,11 +196,11 @@ TEST_P(Conformance, CheckerCleanAndByteIdenticalAcrossReruns)
         EXPECT_EQ(r->report.checkViolations, 0u);
     }
 
-    // Byte-identical rerun.
+    // Byte-identical rerun on the worker thread.
     ASSERT_FALSE(a.trace.empty());
     EXPECT_EQ(a.stats, b.stats);
     EXPECT_TRUE(a.trace == b.trace)
-        << "rerun produced a different trace";
+        << "rerun on a worker thread produced a different trace";
 
     // The scenario matrix actually exercised its scenarios.
     EXPECT_GT(a.report.demandReads, 0u);

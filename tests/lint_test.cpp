@@ -16,6 +16,7 @@
  */
 
 #include <algorithm>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -56,6 +57,15 @@ struct Fixture
     const char *goodPath;  ///< path for the good twin
     const char *good;
 };
+
+// Test listings print the case name, not the struct's raw bytes: those
+// hold a string pointer that moves with every build and, under ASLR,
+// every run, so the listed test names would never be stable.
+void
+PrintTo(const Fixture &fx, std::ostream *os)
+{
+    *os << fx.name;
+}
 
 const Fixture kFixtures[] = {
     {"SboDefaultRef", "sbo-spill",
