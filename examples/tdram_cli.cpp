@@ -17,14 +17,16 @@
  * --ways W, --no-probe, --open-page, --predictor.
  */
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "sim/logging.hh"
 #include "system/system.hh"
 
 namespace
@@ -86,10 +88,10 @@ parseOptions(int argc, char **argv, int first)
     CliOptions o;
     for (int i = first; i < argc; ++i) {
         const std::string a = argv[i];
-        auto next = [&]() -> std::uint64_t {
+        auto next = [&](std::uint64_t max = UINT64_MAX) {
             if (i + 1 >= argc)
                 usage();
-            return std::strtoull(argv[++i], nullptr, 10);
+            return parseCount(a.c_str(), argv[++i], max);
         };
         if (a == "--ops") {
             o.ops = next();
@@ -98,9 +100,9 @@ parseOptions(int argc, char **argv, int first)
         } else if (a == "--seed") {
             o.seed = next();
         } else if (a == "--capacity") {
-            o.capacityMib = next();
+            o.capacityMib = next(UINT64_MAX >> 20);  // shifted to bytes
         } else if (a == "--ways") {
-            o.ways = static_cast<unsigned>(next());
+            o.ways = static_cast<unsigned>(next(UINT_MAX));
         } else if (a == "--no-probe") {
             o.noProbe = true;
         } else if (a == "--open-page") {
@@ -130,7 +132,7 @@ parseOptions(int argc, char **argv, int first)
                 usage();
             }
         } else if (a == "--replay-mlp") {
-            o.replayMlp = static_cast<unsigned>(next());
+            o.replayMlp = static_cast<unsigned>(next(UINT_MAX));
         } else if (a == "--check") {
             o.check = true;
         } else {
@@ -340,11 +342,14 @@ cmdSweep(int argc, char **argv)
     const Design d = parseDesign(argv[3]);
     const std::string param = argv[4];
 
+    // capacity_mib is shifted to bytes; every other param is unsigned.
+    const std::uint64_t max =
+        param == "capacity_mib" ? UINT64_MAX >> 20 : UINT_MAX;
     std::vector<std::uint64_t> values;
     std::stringstream ss(argv[5]);
     std::string item;
     while (std::getline(ss, item, ','))
-        values.push_back(std::strtoull(item.c_str(), nullptr, 10));
+        values.push_back(parseCount(param.c_str(), item.c_str(), max));
     if (values.empty())
         usage();
 

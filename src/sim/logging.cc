@@ -1,7 +1,10 @@
 #include "sim/logging.hh"
 
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
+#include <cstring>
+#include <system_error>
 #include <vector>
 
 namespace tsim
@@ -24,6 +27,20 @@ logFormat(const char *fmt, ...)
     std::vsnprintf(buf.data(), buf.size(), fmt, args_copy);
     va_end(args_copy);
     return std::string(buf.data(), static_cast<size_t>(len));
+}
+
+std::uint64_t
+parseCount(const char *flag, const char *arg, std::uint64_t max)
+{
+    const char *end = arg + std::strlen(arg);
+    std::uint64_t v = 0;
+    const auto [ptr, ec] = std::from_chars(arg, end, v);
+    if (ec != std::errc() || ptr != end || v > max) {
+        std::fprintf(stderr, "%s wants an unsigned integer, got '%s'\n",
+                     flag, arg);
+        std::exit(1);
+    }
+    return v;
 }
 
 void

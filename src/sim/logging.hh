@@ -14,8 +14,10 @@
 #ifndef TSIM_SIM_LOGGING_HH
 #define TSIM_SIM_LOGGING_HH
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 namespace tsim
@@ -27,6 +29,16 @@ namespace tsim
                             const std::string &msg);
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
+
+/**
+ * Parse @p arg, the value of command-line option @p flag, as an
+ * unsigned count no larger than @p max. Empty input, a sign,
+ * non-digits, trailing junk and overflow print "<flag> wants an
+ * unsigned integer, got '<arg>'" to stderr and exit(1).
+ */
+std::uint64_t
+parseCount(const char *flag, const char *arg,
+           std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
 /** printf-style formatting into a std::string. */
 std::string logFormat(const char *fmt, ...)

@@ -71,6 +71,8 @@ struct SystemConfig
 
     /** Simulated-time safety net; a run past this is a bug. */
     Tick maxRuntime = nsToTicks(2.0e9);
+
+    bool operator==(const SystemConfig &) const = default;
 };
 
 /** Results of one run (the raw material of every figure/table). */

@@ -45,6 +45,8 @@ struct CoreConfig
     Tick llcLatency = nsToTicks(4);
 
     Tick retryInterval = nsToTicks(4); ///< backpressure retry period
+
+    bool operator==(const CoreConfig &) const = default;
 };
 
 /** Drives the whole hierarchy with one workload. */

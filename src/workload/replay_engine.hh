@@ -64,6 +64,8 @@ struct ReplayConfig
     unsigned mlp = 0;
 
     Tick retryInterval = nsToTicks(4);  ///< backpressure retry period
+
+    bool operator==(const ReplayConfig &) const = default;
 };
 
 /** Drives the DRAM cache with a recorded .tdtz request stream. */

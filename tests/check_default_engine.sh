@@ -31,12 +31,12 @@ DESIGNS="CascadeLake Alloy BEAR NDC TDRAM TDRAM-noprobe Ideal NoCache
 TicToc Banshee"
 PAGE_INVARIANT=" NDC TDRAM TDRAM-noprobe "
 
+. "$(dirname "$0")/golden_lib.sh"
+
 [ -x "$CLI" ] || { echo "FAIL: missing $CLI"; exit 1; }
 
 WORK=$(mktemp -d) || exit 1
 trap 'rm -rf "$WORK"' EXIT
-
-sha() { sha256sum "$1" | cut -d' ' -f1; }
 
 # run_cell <workload> <design> <closed|open>: leaves $WORK/cell.out
 # and $WORK/cell.tdt behind; exits the script on a failed run.
@@ -51,27 +51,14 @@ run_cell()
     }
 }
 
-# golden_row <workload> <design> <page>: "<stdout sha> <trace sha>"
-# of the row the cell must match (the closed-page row for a
-# page-invariant design).
-golden_row()
+# check_cell <workload> <design> <page>: hashes $WORK/cell.{out,tdt}
+# against the cell's golden row (the closed-page row for a
+# page-invariant design); nonzero (with a message) on any mismatch.
+check_cell()
 {
     page=$3
     case "$PAGE_INVARIANT" in *" $2 "*) page=closed ;; esac
-    awk -v w="$1" -v d="$2" -v p="$page" \
-        '$1 == w && $2 == d && $3 == p { print $4, $5 }' "$GOLDEN"
-}
-
-# compare <workload> <design> <page>: hashes $WORK/cell.{out,tdt}
-# against the golden row; nonzero (with a message) on any mismatch.
-compare()
-{
-    want=$(golden_row "$1" "$2" "$3")
-    [ -n "$want" ] || { echo "FAIL: no golden row for $1 $2 $3"; return 1; }
-    got="$(sha "$WORK/cell.out") $(sha "$WORK/cell.tdt")"
-    [ "$got" = "$want" ] && return 0
-    echo "FAIL: $1 $2 $3: stdout/trace sha256 '$got' != golden '$want'"
-    return 1
+    compare "$GOLDEN" "$1 $2 $page" "$WORK/cell.out" "$WORK/cell.tdt"
 }
 
 case "$MODE" in
@@ -81,7 +68,7 @@ check)
     for d in $DESIGNS; do
         for p in closed open; do
             run_cell "$wl" "$d" "$p"
-            compare "$wl" "$d" "$p" || fails=$((fails + 1))
+            check_cell "$wl" "$d" "$p" || fails=$((fails + 1))
             rm -f "$WORK/cell.tdt"
         done
     done
@@ -90,23 +77,11 @@ check)
     ;;
 canary)
     run_cell is.D TDRAM closed
-    compare is.D TDRAM closed || exit 1
-    cp "$WORK/cell.tdt" "$WORK/clean.tdt"
+    check_cell is.D TDRAM closed || exit 1
     # Flip one byte inside the first record's tick field (the .tdt
     # header is 32 B), then one byte of the CSV row in the stdout.
-    printf '\377' | dd of="$WORK/cell.tdt" bs=1 seek=32 count=1 \
-        conv=notrunc 2>/dev/null
-    if compare is.D TDRAM closed > /dev/null; then
-        echo "FAIL: a flipped trace byte was not detected"
-        exit 1
-    fi
-    mv "$WORK/clean.tdt" "$WORK/cell.tdt"
-    printf '\377' | dd of="$WORK/cell.out" bs=1 seek=200 count=1 \
-        conv=notrunc 2>/dev/null
-    if compare is.D TDRAM closed > /dev/null; then
-        echo "FAIL: a flipped stdout byte was not detected"
-        exit 1
-    fi
+    expect_flip_detected "$WORK/cell.tdt" 32 check_cell is.D TDRAM closed
+    expect_flip_detected "$WORK/cell.out" 200 check_cell is.D TDRAM closed
     echo "canary: flipped stdout and trace bytes both detected"
     ;;
 generate)

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <ostream>
 #include <set>
 #include <string>
 
@@ -97,6 +98,15 @@ struct Injection
     void (*build)(CheckStream &);
     void (*mutate)(CheckStream &);
 };
+
+// Test listings print the case name, not the struct's raw bytes: those
+// hold string pointers that move with the binary layout, so the listed
+// test names would not be stable.
+void
+PrintTo(const Injection &inj, std::ostream *os)
+{
+    *os << inj.name;
+}
 
 const Injection kInjections[] = {
     {"CaSlotProbeCollision", "ca-slot", tdramCfg,

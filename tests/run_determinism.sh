@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # Golden-trace determinism gate (CI: the "determinism" job).
 #
-# Three checks, all byte-exact:
+# Four checks, all byte-exact:
 #  1. Same-config repeatability: the integration config run twice must
 #     produce identical stats dumps, CSV rows, and .tdt event traces.
 #  2. Serial vs parallel: a capacity_sweep grid with --jobs 1 and
 #     --jobs 4 must produce identical CSV and per-job traces
 #     (trace_tool diff reports the first divergent record otherwise).
-#  3. Canary: a deliberately perturbed copy of a trace MUST be flagged
+#  3. Serial vs parallel reproduction: every figure of tdram_repro
+#     with --jobs 1 and --jobs 4 must print identical stdout.
+#  4. Canary: a deliberately perturbed copy of a trace MUST be flagged
 #     by trace_tool diff — proving the gate can actually fail.
 #
 # The committed digests of the default engine's output are checked by
@@ -23,8 +25,9 @@ BUILD=${1:-build}
 CLI="$BUILD/examples/tdram_cli"
 SWEEP="$BUILD/examples/capacity_sweep"
 TOOL="$BUILD/tools/trace_tool"
+REPRO="$BUILD/bench/tdram_repro"
 
-for bin in "$CLI" "$SWEEP" "$TOOL"; do
+for bin in "$CLI" "$SWEEP" "$TOOL" "$REPRO"; do
     if [ ! -x "$bin" ]; then
         echo "missing $bin - build the project first" >&2
         exit 2
@@ -34,7 +37,7 @@ done
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 
-echo "=== [1/3] same-config repeatability (tdram_cli run) ==="
+echo "=== [1/4] same-config repeatability (tdram_cli run) ==="
 for i in 1 2; do
     "$CLI" run is.C TDRAM --ops 4000 --csv --stats \
         --trace "$WORK/run$i.tdt" > "$WORK/run$i.out"
@@ -48,7 +51,7 @@ cmp "$WORK/run1.out" "$WORK/run2.out" || {
     exit 1
 }
 
-echo "=== [2/3] serial vs parallel sweep ==="
+echo "=== [2/4] serial vs parallel sweep ==="
 "$SWEEP" is.C 3000 --jobs 1 --trace "$WORK/serial" > "$WORK/serial.csv"
 "$SWEEP" is.C 3000 --jobs 4 --trace "$WORK/par" > "$WORK/par.csv"
 cmp "$WORK/serial.csv" "$WORK/par.csv" || {
@@ -67,7 +70,17 @@ done
 [ "$njobs" -gt 0 ] || { echo "FAIL: sweep produced no traces"; exit 1; }
 echo "($njobs per-job traces identical)"
 
-echo "=== [3/3] perturbation canary ==="
+echo "=== [3/4] serial vs parallel reproduction (tdram_repro) ==="
+for jobs in 1 4; do
+    "$REPRO" --ops 1500 --warmup 20000 --jobs "$jobs" \
+        > "$WORK/repro$jobs.out"
+done
+cmp "$WORK/repro1.out" "$WORK/repro4.out" || {
+    echo "FAIL: tdram_repro output differs between --jobs 1 and --jobs 4"
+    exit 1
+}
+
+echo "=== [4/4] perturbation canary ==="
 cp "$WORK/run1.tdt" "$WORK/perturbed.tdt"
 # Flip one byte inside the first record's tick field (header is 32 B).
 printf '\xff' | dd of="$WORK/perturbed.tdt" bs=1 seek=32 count=1 \
