@@ -5,6 +5,8 @@
  * functional tag-array operations.
  */
 
+#include <functional>
+
 #include <benchmark/benchmark.h>
 
 #include "dram/channel.hh"

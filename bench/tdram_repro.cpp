@@ -168,19 +168,22 @@ class RunSet
             perf.merge(r.report.hostPerf);
         if (perf.runs == 0)
             return;
-        const double scans_per_kick =
-            perf.chanKicks ? static_cast<double>(perf.chanScans) /
-                                 static_cast<double>(perf.chanKicks)
-                           : 0.0;
+        const auto ratio = [](std::uint64_t a, std::uint64_t b) {
+            return b ? static_cast<double>(a) / static_cast<double>(b)
+                     : 0.0;
+        };
         std::fprintf(stderr,
                      "[host] %llu runs, %llu events, %.2fs host time, "
                      "%.2fM events/s, %.1f sim-us per host-s, "
-                     "%llu chan kicks (%.1f scan steps each)\n",
+                     "%llu chan kicks (%.1f scan steps each, "
+                     "%.2f kicks/cmd)\n",
                      (unsigned long long)perf.runs,
                      (unsigned long long)perf.events, perf.hostSeconds,
                      perf.eventsPerSec() / 1e6,
                      perf.simNsPerHostSec() / 1e3,
-                     (unsigned long long)perf.chanKicks, scans_per_kick);
+                     (unsigned long long)perf.chanKicks,
+                     ratio(perf.chanScans, perf.chanKicks),
+                     ratio(perf.chanKicks, perf.chanCmds));
     }
 
     const Run &

@@ -71,6 +71,9 @@ DramChannel::DramChannel(EventQueue &eq, std::string name,
 
     _orphans.resize(std::max(1u, _cfg.readQCap));
 
+    for (auto &words : _queuedBanks)
+        words.resize((_cfg.banks + 63) / 64);
+
     if (_cfg.refreshEnabled) {
         _eq.schedule(_t.tREFI, [this] { startRefresh(); });
     }
@@ -97,7 +100,7 @@ DramChannel::freeNode(std::uint32_t idx)
     ReqNode &n = _pool[idx];
     n.req = ChanReq{};  // drop any callback still held
     n.probePending = false;
-    n.prev = n.bankPrev = n.bankNext = NIL;
+    n.prev = n.bankPrev = n.bankNext = n.probePrev = n.probeNext = NIL;
     n.next = _freeHead;
     _freeHead = idx;
 }
@@ -131,15 +134,48 @@ DramChannel::qUnlink(unsigned dir, std::uint32_t idx)
 }
 
 void
+DramChannel::probeLink(std::uint32_t idx)
+{
+    ReqNode &n = _pool[idx];
+    n.probePrev = _probeQ.tail;
+    n.probeNext = NIL;
+    if (_probeQ.tail == NIL)
+        _probeQ.head = idx;
+    else
+        _pool[_probeQ.tail].probeNext = idx;
+    _probeQ.tail = idx;
+    ++_banks[n.req.coord.bank].probeEligible;
+}
+
+void
+DramChannel::probeUnlink(std::uint32_t idx)
+{
+    ReqNode &n = _pool[idx];
+    if (n.probePrev != NIL)
+        _pool[n.probePrev].probeNext = n.probeNext;
+    else
+        _probeQ.head = n.probeNext;
+    if (n.probeNext != NIL)
+        _pool[n.probeNext].probePrev = n.probePrev;
+    else
+        _probeQ.tail = n.probePrev;
+    n.probePrev = n.probeNext = NIL;
+    --_banks[n.req.coord.bank].probeEligible;
+}
+
+void
 DramChannel::bankLink(BankState &b, unsigned dir, std::uint32_t idx)
 {
     ReqNode &n = _pool[idx];
     n.bankPrev = b.q[dir].tail;
     n.bankNext = NIL;
-    if (b.q[dir].tail == NIL)
+    if (b.q[dir].tail == NIL) {
         b.q[dir].head = idx;
-    else
+        const unsigned bank = n.req.coord.bank;
+        _queuedBanks[dir][bank / 64] |= std::uint64_t{1} << (bank % 64);
+    } else {
         _pool[b.q[dir].tail].bankNext = idx;
+    }
     b.q[dir].tail = idx;
     ++b.opCount[dir][opKindIdx(n.req.op)];
     if (_cfg.pagePolicy == PagePolicy::Open && b.rowOpen &&
@@ -161,6 +197,10 @@ DramChannel::bankUnlink(BankState &b, unsigned dir, std::uint32_t idx)
     else
         b.q[dir].tail = n.bankPrev;
     n.bankPrev = n.bankNext = NIL;
+    if (b.q[dir].head == NIL) {
+        const unsigned bank = n.req.coord.bank;
+        _queuedBanks[dir][bank / 64] &= ~(std::uint64_t{1} << (bank % 64));
+    }
     --b.opCount[dir][opKindIdx(n.req.op)];
     if (_cfg.pagePolicy == PagePolicy::Open && b.rowOpen &&
         b.openRow == n.req.coord.row) {
@@ -351,10 +391,42 @@ DramChannel::enqueue(ChanReq req)
     ++_qCount[dir];
     if (dir == DirRead) {
         indexInsert(n.req.id, idx);
-        if (!n.req.probed && n.req.onTagResult)
-            ++b.probeEligible;
+        if (wantsProbe(n.req))
+            probeLink(idx);
     }
-    kick();
+    if (!skipEnqueueKick(idx))
+        kick();
+}
+
+bool
+DramChannel::skipEnqueueKick(std::uint32_t idx)
+{
+    // While settled, every other queued request has its class tick at
+    // or after the pending kick, so the new request is the only work
+    // kick() could find now. It would issue nothing if this request
+    // cannot issue, the drain mode does not flip and no probe is
+    // possible; its wake could then only move in to this request's
+    // class (or probe) tick.
+    const Tick now = curTick();
+    if (!_settled || _nextKick <= now || nextDrainMode() != _drainingWrites)
+        return false;
+    const ReqNode &n = _pool[idx];
+    const unsigned dir = dirOf(n.req.op);
+    Tick wake = maxTick;
+    if (dir == DirWrite || !_drainingWrites) {
+        wake = earliestIssue(n.req);
+        if (wake <= now)
+            return false;
+    }
+    unsigned conflicts = 0;
+    if (!probeBlocked(now, conflicts))
+        return false;
+    noteProbeConflicts(conflicts);
+    if (dir == DirRead && wantsProbe(n.req))
+        wake = std::min(wake, probeWake(_banks[n.req.coord.bank].tagNextAct));
+    if (wake < _nextKick)
+        scheduleKick(wake);
+    return true;
 }
 
 bool
@@ -367,8 +439,8 @@ DramChannel::removeRead(std::uint64_t id)
     emit(*this, ReadRetiredEv{
         .queueDelayNs = ticksToNs(curTick() - n.req.enqueued)});
     BankState &b = _banks[n.req.coord.bank];
-    if (!n.req.probed && n.req.onTagResult)
-        --b.probeEligible;
+    if (wantsProbe(n.req))
+        probeUnlink(idx);
     if (n.probePending) {
         // The probe HM event is still in flight and must deliver its
         // result exactly as the old copied-callback semantics did.
@@ -412,18 +484,17 @@ DramChannel::reserveDq(bool is_write, Tick start, Tick dur)
 Tick
 DramChannel::fawConstraint() const
 {
-    if (_actWindow.size() < 4)
-        return 0;
-    return _actWindow[_actWindow.size() - 4] + _t.tXAW;
+    return _acts < 4 ? 0 : _actRing[_actHead] + _t.tXAW;
 }
 
 void
 DramChannel::recordAct(Tick t)
 {
     _lastAct = t;
-    _actWindow.push_back(t);
-    if (_actWindow.size() > 4)
-        _actWindow.pop_front();
+    _actRing[_actHead] = t;
+    _actHead = (_actHead + 1) & 3;
+    if (_acts < 4)
+        ++_acts;
 }
 
 bool
@@ -433,74 +504,79 @@ DramChannel::rowHit(const ChanReq &req) const
     return b.rowOpen && b.openRow == req.coord.row;
 }
 
+// ---------------------------------------------------------------------
+// Class-based FR-FCFS selection and wake-up.
+//
+// Every constraint on a request's issue tick is a function of global
+// state plus the request's (bank, op kind, row-hit) class, so all
+// requests of one class in one bank share one classIssue() value, and
+// a bank FIFO is global arrival order restricted to that bank. The
+// per-bank counts opCount/hitCount say which classes are present, so
+// the wake-up is a min over present classes and selection walks a
+// bank only up to the first member of a class that is ready — exactly
+// the reference oldest-first full scan.
+// ---------------------------------------------------------------------
+
+void
+DramChannel::updateGates()
+{
+    const Tick no_act = std::max(_caFreeAt, _refreshUntil);
+    // Row hits need no ACT, so tRRD/tFAW constrain every other class.
+    Tick act = no_act;
+    if (_acts > 0)
+        act = std::max(act, _lastAct + _t.tRRD);
+    act = std::max(act, fawConstraint());
+    const Tick hm = _cfg.hmAtColumn ? 0
+                                    : subClamp(_hmFreeAt, _t.hmLatency());
+
+    for (unsigned dir = 0; dir < 2; ++dir) {
+        const bool is_write = dir == DirWrite;
+        const Tick dq = dqEarliest(is_write);
+        ClassGates &g = _gates[dir];
+        if (_cfg.pagePolicy == PagePolicy::Open) {
+            // Command-sequence start to first data beat.
+            const Tick col = is_write ? _t.tCWL : _t.tCL;
+            g.rowHit = std::max(no_act, subClamp(dq, col));
+            g.kind[0] = std::max(act, subClamp(dq, col + _t.tRCD));
+            g.rowConflict =
+                std::max(act, subClamp(dq, col + _t.tRCD + _t.tRP));
+        } else {
+            g.kind[0] = std::max(
+                act, subClamp(dq, is_write ? _t.tRCD_WR + _t.tCWL
+                                           : _t.tRCD + _t.tCL));
+            g.rowHit = g.rowConflict = maxTick;  // no open rows
+        }
+        g.kind[1] = std::max(
+            {act, hm,
+             subClamp(dq, is_write ? _t.tCWL : _t.tRCD + _t.tCL)});
+    }
+}
+
+Tick
+DramChannel::classIssue(unsigned dir, const BankState &b, unsigned kind,
+                        bool row_hit) const
+{
+    const ClassGates &g = _gates[dir];
+    // ActRd/ActWr always activate (tag and data mats together), so
+    // the open-page row-hit shortcut never applies to them.
+    if (kind == 1)
+        return std::max({g.kind[1], b.nextAct, b.tagNextAct});
+    if (_cfg.pagePolicy == PagePolicy::Open) {
+        if (row_hit)
+            return std::max(g.rowHit, b.nextAct);
+        if (b.rowOpen)  // respect tRAS/tWR before the PRE
+            return std::max({g.rowConflict, b.nextAct, b.nextPre});
+    }
+    return std::max(g.kind[0], b.nextAct);
+}
+
 Tick
 DramChannel::earliestIssue(const ChanReq &req) const
 {
-    const BankState &b = _banks[req.coord.bank];
-    Tick e = std::max(_caFreeAt, _refreshUntil);
-    const bool open_page = _cfg.pagePolicy == PagePolicy::Open &&
-                           (req.op == ChanOp::Read ||
-                            req.op == ChanOp::Write);
-    // Row hits need no ACT, so tRRD/tFAW don't constrain them.
-    if (!(open_page && rowHit(req))) {
-        if (!_actWindow.empty())
-            e = std::max(e, _actWindow.back() + _t.tRRD);
-        e = std::max(e, fawConstraint());
-    }
-    e = std::max(e, b.nextAct);
-
-    if (open_page) {
-        const bool is_write = req.op == ChanOp::Write;
-        // Command-sequence start to first data beat.
-        Tick to_data = is_write ? _t.tCWL : _t.tCL;
-        if (!rowHit(req)) {
-            to_data += _t.tRCD;
-            if (b.rowOpen) {
-                to_data += _t.tRP;          // PRE first
-                e = std::max(e, b.nextPre); // respect tRAS/tWR
-            }
-        }
-        e = std::max(e, subClamp(dqEarliest(is_write), to_data));
-        return e;
-    }
-
-    switch (req.op) {
-      case ChanOp::Read:
-        e = std::max(e, subClamp(dqEarliest(false),
-                                 _t.tRCD + _t.tCL));
-        break;
-      case ChanOp::Write:
-        e = std::max(e, subClamp(dqEarliest(true),
-                                 _t.tRCD_WR + _t.tCWL));
-        break;
-      case ChanOp::ActRd:
-        e = std::max(e, b.tagNextAct);
-        e = std::max(e, subClamp(dqEarliest(false),
-                                 _t.tRCD + _t.tCL));
-        if (!_cfg.hmAtColumn)
-            e = std::max(e, subClamp(_hmFreeAt, _t.hmLatency()));
-        break;
-      case ChanOp::ActWr:
-        e = std::max(e, b.tagNextAct);
-        e = std::max(e, subClamp(dqEarliest(true), _t.tCWL));
-        if (!_cfg.hmAtColumn)
-            e = std::max(e, subClamp(_hmFreeAt, _t.hmLatency()));
-        break;
-    }
-    return e;
+    return classIssue(dirOf(req.op), _banks[req.coord.bank],
+                      opKindIdx(req.op),
+                      _cfg.pagePolicy == PagePolicy::Open && rowHit(req));
 }
-
-// ---------------------------------------------------------------------
-// Incremental FR-FCFS selection.
-//
-// Every constraint in earliestIssue() is a function of global state
-// plus the request's (bank, op kind, row-hit) class, so requests of
-// one class in one bank share a single earliestIssue value, and FIFO
-// order within a bank list is global arrival order restricted to that
-// bank. Selection therefore evaluates no more than the first request
-// of each class per bank — exactly equivalent to the reference
-// oldest-first full scan, at a fraction of the work.
-// ---------------------------------------------------------------------
 
 std::uint32_t
 DramChannel::firstReadyInBank(const BankState &b, unsigned dir,
@@ -508,47 +584,29 @@ DramChannel::firstReadyInBank(const BankState &b, unsigned dir,
                               std::uint64_t seq_bound) const
 {
     const bool open = _cfg.pagePolicy == PagePolicy::Open;
-    // Exact count of distinct equivalence classes in this queue, from
-    // the per-kind totals and row-hit counts. Once that many classes
-    // are evaluated, every later node repeats one and would be skipped.
-    unsigned cls_limit;
-    if (open) {
-        const unsigned h0 = b.hitCount[dir][0];
-        const unsigned h1 = b.hitCount[dir][1];
-        const unsigned hit_kinds = (h0 ? 1u : 0u) + (h1 ? 1u : 0u);
-        if (row_hits_only) {
-            cls_limit = hit_kinds;
-        } else {
-            cls_limit = hit_kinds +
-                        (b.opCount[dir][0] > h0 ? 1u : 0u) +
-                        (b.opCount[dir][1] > h1 ? 1u : 0u);
+    // Bit kind * 2 + row_hit is set for each present class ready now.
+    unsigned ready = 0;
+    for (unsigned kind = 0; kind < 2; ++kind) {
+        const unsigned hits = open ? b.hitCount[dir][kind] : 0u;
+        if (hits && classIssue(dir, b, kind, true) <= now)
+            ready |= 2u << (kind * 2);
+        if (!row_hits_only && b.opCount[dir][kind] > hits &&
+            classIssue(dir, b, kind, false) <= now) {
+            ready |= 1u << (kind * 2);
         }
-        if (cls_limit == 0)
-            return NIL;  // e.g. no row hits queued in the hit pass
-    } else {
-        cls_limit = (b.opCount[dir][0] ? 1u : 0u) +
-                    (b.opCount[dir][1] ? 1u : 0u);
     }
-    unsigned cls_eval = 0;
-    bool evaluated[4] = {false, false, false, false};
+    if (ready == 0)
+        return NIL;
     for (std::uint32_t i = b.q[dir].head; i != NIL;
          i = _pool[i].bankNext) {
         ++hostScanSteps;
         const ReqNode &n = _pool[i];
         if (n.seq >= seq_bound)
             return NIL;  // an older candidate from another bank wins
-        const ChanReq &r = n.req;
-        const bool hit = open && rowHit(r);
-        if (row_hits_only && !hit)
-            continue;
-        const unsigned cls = opKindIdx(r.op) * 2 + (hit ? 1u : 0u);
-        if (evaluated[cls])
-            continue;  // same constraints as an older request: not ready
-        if (earliestIssue(r) <= now)
+        const unsigned cls = opKindIdx(n.req.op) * 2 +
+                             ((open && rowHit(n.req)) ? 1u : 0u);
+        if ((ready >> cls) & 1u)
             return i;
-        evaluated[cls] = true;
-        if (++cls_eval == cls_limit)
-            return NIL;  // every class that can appear was checked
     }
     return NIL;
 }
@@ -558,19 +616,17 @@ DramChannel::selectReady(unsigned dir, Tick now) const
 {
     if (_qCount[dir] == 0)
         return NIL;
-    // The CA bus / refresh window gates every op kind identically.
-    if (std::max(_caFreeAt, _refreshUntil) > now)
-        return NIL;
-    const bool open = _cfg.pagePolicy == PagePolicy::Open;
+    const ClassGates &g = _gates[dir];
     std::uint32_t best = NIL;
     std::uint64_t best_seq = ~std::uint64_t{0};
-    if (open) {
+    if (_cfg.pagePolicy == PagePolicy::Open) {
         // FR-FCFS pass 1: the oldest issuable row hit. Banks with no
         // queued row hit are skipped without touching their queues.
-        for (const auto &b : _banks) {
+        forQueuedBanks(dir == DirRead, dir == DirWrite,
+                       [&](const BankState &b) {
             if ((b.hitCount[dir][0] | b.hitCount[dir][1]) == 0 ||
                 b.nextAct > now) {
-                continue;
+                return;
             }
             const std::uint32_t c =
                 firstReadyInBank(b, dir, now, true, best_seq);
@@ -578,7 +634,7 @@ DramChannel::selectReady(unsigned dir, Tick now) const
                 best = c;
                 best_seq = _pool[c].seq;
             }
-        }
+        });
         if (best != NIL)
             return best;
     }
@@ -586,64 +642,81 @@ DramChannel::selectReady(unsigned dir, Tick now) const
     // still issuable here needs an ACT (close page always; open page
     // because pass 1 returned no ready row hit), so the tRRD/tFAW
     // activation gates apply to every remaining candidate.
-    Tick act_gate = 0;
-    if (!_actWindow.empty())
-        act_gate = _actWindow.back() + _t.tRRD;
-    act_gate = std::max(act_gate, fawConstraint());
-    if (act_gate > now)
+    if (std::min({g.kind[0], g.kind[1], g.rowConflict}) > now)
         return NIL;
-    for (const auto &b : _banks) {
-        if (b.q[dir].head == NIL || b.nextAct > now)
-            continue;
+    forQueuedBanks(dir == DirRead, dir == DirWrite,
+                   [&](const BankState &b) {
+        if (b.nextAct > now)
+            return;
         const std::uint32_t c =
             firstReadyInBank(b, dir, now, false, best_seq);
         if (c != NIL) {
             best = c;
             best_seq = _pool[c].seq;
         }
-    }
+    });
     return best;
 }
 
-Tick
-DramChannel::earliestWake(unsigned dir) const
+namespace
 {
-    Tick best = maxTick;
-    if (_qCount[dir] == 0)
-        return best;
+
+/** Per-class minima of the bank-dependent terms of classIssue(). */
+struct BankTermMin
+{
+    Tick closedMiss = maxTick; ///< plain op, row miss, bank closed
+    Tick rowHit = maxTick;     ///< plain op, row hit (open page)
+    Tick rowConflict = maxTick; ///< plain op, another row open
+    Tick act = maxTick;        ///< ActRd/ActWr
+};
+
+} // namespace
+
+Tick
+DramChannel::earliestWake() const
+{
+    // classIssue() is max(class gate, bank terms), so the min over
+    // banks of each class is max(gate, min over banks of the bank
+    // terms): one pass over the queued banks collects those minima,
+    // and each gate is applied once.
     const bool open = _cfg.pagePolicy == PagePolicy::Open;
-    for (const auto &b : _banks) {
-        std::uint32_t i = b.q[dir].head;
-        if (i == NIL)
+    const bool reads = !_drainingWrites;
+    BankTermMin m[2];
+    Tick probe_tag = maxTick;
+    auto add = [open](BankTermMin &mm, const BankState &b, unsigned dir) {
+        const unsigned hits = open ? b.hitCount[dir][0] : 0u;
+        if (b.opCount[dir][1] != 0)
+            mm.act = std::min(mm.act, std::max(b.nextAct, b.tagNextAct));
+        if (hits != 0)
+            mm.rowHit = std::min(mm.rowHit, b.nextAct);
+        if (b.opCount[dir][0] > hits) {
+            if (b.rowOpen)
+                mm.rowConflict = std::min(mm.rowConflict,
+                                          std::max(b.nextAct, b.nextPre));
+            else
+                mm.closedMiss = std::min(mm.closedMiss, b.nextAct);
+        }
+    };
+    forQueuedBanks(reads, true, [&](const BankState &b) {
+        add(m[DirWrite], b, DirWrite);
+        if (reads) {
+            add(m[DirRead], b, DirRead);
+            if (b.probeEligible != 0)
+                probe_tag = std::min(probe_tag, b.tagNextAct);
+        }
+    });
+
+    Tick wake = maxTick;
+    for (unsigned dir : {DirRead, DirWrite}) {
+        if (_qCount[dir] == 0 || (dir == DirRead && !reads))
             continue;
-        // Same exact class count as firstReadyInBank.
-        unsigned cls_limit;
-        if (open) {
-            const unsigned h0 = b.hitCount[dir][0];
-            const unsigned h1 = b.hitCount[dir][1];
-            cls_limit = (h0 ? 1u : 0u) + (h1 ? 1u : 0u) +
-                        (b.opCount[dir][0] > h0 ? 1u : 0u) +
-                        (b.opCount[dir][1] > h1 ? 1u : 0u);
-        } else {
-            cls_limit = (b.opCount[dir][0] ? 1u : 0u) +
-                        (b.opCount[dir][1] ? 1u : 0u);
-        }
-        unsigned cls_eval = 0;
-        bool evaluated[4] = {false, false, false, false};
-        for (; i != NIL; i = _pool[i].bankNext) {
-            ++hostScanSteps;
-            const ChanReq &r = _pool[i].req;
-            const unsigned cls =
-                opKindIdx(r.op) * 2 + ((open && rowHit(r)) ? 1u : 0u);
-            if (evaluated[cls])
-                continue;
-            evaluated[cls] = true;
-            best = std::min(best, earliestIssue(r));
-            if (++cls_eval == cls_limit)
-                break;
-        }
+        const ClassGates &g = _gates[dir];
+        wake = std::min({wake, std::max(g.kind[0], m[dir].closedMiss),
+                         std::max(g.rowHit, m[dir].rowHit),
+                         std::max(g.rowConflict, m[dir].rowConflict),
+                         std::max(g.kind[1], m[dir].act)});
     }
-    return best;
+    return std::min(wake, probeWake(probe_tag));
 }
 
 // ---------------------------------------------------------------------
@@ -658,8 +731,8 @@ DramChannel::dequeueAndIssue(std::uint32_t idx)
     BankState &b = _banks[n.req.coord.bank];
     if (dir == DirRead) {
         indexErase(n.req.id);
-        if (!n.req.probed && n.req.onTagResult)
-            --b.probeEligible;
+        if (wantsProbe(n.req))
+            probeUnlink(idx);
     }
     qUnlink(dir, idx);
     bankUnlink(b, dir, idx);
@@ -974,6 +1047,7 @@ DramChannel::forceDrain()
 {
     if (_flush.empty())
         return;
+    _settled = false;  // moves the DQ bus state
     // Entries drain back-to-back as a group to amortize the DQ
     // read-direction turnaround (paper §III-D2 (iii); NDC's RES).
     Tick start = std::max(curTick(), dqEarliest(false));
@@ -1010,35 +1084,35 @@ DramChannel::forceDrain()
 bool
 DramChannel::tryProbe()
 {
-    if (!_cfg.enableProbe || _qCount[DirRead] == 0)
-        return false;
     const Tick now = curTick();
-    if (_caFreeAt > now || _refreshUntil > now)
+    unsigned conflicts = 0;
+    if (probeBlocked(now, conflicts)) {
+        noteProbeConflicts(conflicts);
         return false;
-    const Tick hm_lat = _t.hmLatency();
-    if (subClamp(_hmFreeAt, hm_lat) > now)
-        return false;
+    }
 
     // Among probe-eligible requests pick the *youngest* (paper
-    // §III-E2) to minimize average queueing delay.
-    for (std::uint32_t i = _q[DirRead].tail; i != NIL;
-         i = _pool[i].prev) {
+    // §III-E2) to minimize average queueing delay. Every younger one
+    // found with its tag bank busy counts as a conflict.
+    conflicts = 0;
+    for (std::uint32_t i = _probeQ.tail; i != NIL;
+         i = _pool[i].probePrev) {
         ++hostScanSteps;
         ReqNode &n = _pool[i];
-        if (n.req.probed || !n.req.onTagResult)
-            continue;
         BankState &b = _banks[n.req.coord.bank];
         if (b.tagNextAct > now) {
-            emit(*this, ProbeConflictEv{});
+            ++conflicts;
             continue;
         }
+        noteProbeConflicts(conflicts);
+        probeUnlink(i);
         n.req.probed = true;
         n.probePending = true;
-        --b.probeEligible;
         _caFreeAt = now + _t.clkPeriod;
         b.tagNextAct = now + _t.tRC_TAG;
         TagResult tr = peekTags(n.req.addr);
         tr.viaProbe = true;
+        const Tick hm_lat = _t.hmLatency();
         const Tick hm_tick = now + hm_lat;
         _hmFreeAt = hm_tick + hmBusOccupancy;
         const auto bank16 = static_cast<std::uint16_t>(n.req.coord.bank);
@@ -1056,28 +1130,47 @@ DramChannel::tryProbe()
         });
         return true;
     }
-    return false;
+    panic("%s: probe list out of step with probeEligible",
+          name().c_str());
 }
 
 Tick
-DramChannel::earliestProbe() const
+DramChannel::probeGate() const
 {
-    if (!_cfg.enableProbe)
+    return std::max({_caFreeAt, _refreshUntil,
+                     subClamp(_hmFreeAt, _t.hmLatency())});
+}
+
+Tick
+DramChannel::probeWake(Tick tag_free) const
+{
+    // As in the reference scheduler, write drain never wakes to probe.
+    if (!_cfg.enableProbe || _drainingWrites || tag_free == maxTick)
         return maxTick;
-    // The reference computes min over eligible requests of
-    // max(G, bank.tagNextAct); G collects only request-independent
-    // global constraints, so this equals max(G, min over banks with
-    // eligible requests of tagNextAct) — O(banks), not O(queue).
-    Tick tag = maxTick;
-    for (const auto &b : _banks) {
-        if (b.probeEligible > 0)
-            tag = std::min(tag, b.tagNextAct);
-    }
-    if (tag == maxTick)
-        return maxTick;
-    Tick e = std::max(_caFreeAt, _refreshUntil);
-    e = std::max(e, subClamp(_hmFreeAt, _t.hmLatency()));
-    return std::max(e, tag);
+    return std::max(probeGate(), tag_free);
+}
+
+bool
+DramChannel::probeBlocked(Tick now, unsigned &conflicts) const
+{
+    conflicts = 0;
+    if (!_cfg.enableProbe || _qCount[DirRead] == 0 || probeGate() > now)
+        return true;
+    bool tag_bank_free = false;
+    forQueuedBanks(true, false, [&](const BankState &b) {
+        if (b.tagNextAct <= now)
+            tag_bank_free = tag_bank_free || b.probeEligible > 0;
+        else
+            conflicts += b.probeEligible;
+    });
+    return !tag_bank_free;
+}
+
+void
+DramChannel::noteProbeConflicts(unsigned conflicts)
+{
+    if (conflicts > 0)
+        emit(*this, ProbeConflictEv{.count = conflicts});
 }
 
 // ---------------------------------------------------------------------
@@ -1088,6 +1181,7 @@ void
 DramChannel::startRefresh()
 {
     const Tick now = curTick();
+    _settled = false;
     _refreshUntil = now + _t.tRFC;
     emit(*this, RefreshEv{
         .tick = now, .addr = 0, .bank = traceBankNone,
@@ -1146,8 +1240,18 @@ DramChannel::scheduleKick(Tick when)
         return;
     _nextKick = when;
     _eq.schedule(when, [this, when] {
-        if (_nextKick == when)
+        if (_nextKick == when) {
             _nextKick = 0;
+        } else if (_settled && _nextKick > curTick()) {
+            // Superseded by an earlier kick, and nothing has changed
+            // since: every request waits for the pending kick, so
+            // kick() would at most count probe conflicts.
+            unsigned conflicts = 0;
+            if (probeBlocked(curTick(), conflicts)) {
+                noteProbeConflicts(conflicts);
+                return;
+            }
+        }
         kick();
     });
 }
@@ -1156,23 +1260,18 @@ void
 DramChannel::kick()
 {
     ++hostKicks;
+    if (!_settled)
+        updateGates();  // timing state moved since the last kick
+    _settled = false;
     const Tick now = curTick();
 
-    // Write-drain hysteresis.
-    auto update_mode = [this] {
-        if (_drainingWrites) {
-            if (_qCount[DirWrite] <= _cfg.writeLow)
-                _drainingWrites = false;
-        } else if (_qCount[DirWrite] >= _cfg.writeHigh) {
-            _drainingWrites = true;
-        }
-    };
-    update_mode();
+    _drainingWrites = nextDrainMode();
 
     // Issue the oldest ready request from the preferred queue; when
     // no read can issue right now, an issuable write may go instead
-    // (and vice versa in drain mode: writes strictly first).
-    for (;;) {
+    // (and vice versa in drain mode: writes strictly first). The CA
+    // bus and the refresh window gate every issue alike.
+    while (std::max(_caFreeAt, _refreshUntil) <= now) {
         std::uint32_t pick;
         if (_drainingWrites) {
             pick = selectReady(DirWrite, now);
@@ -1184,24 +1283,24 @@ DramChannel::kick()
         if (pick == NIL)
             break;
         dequeueAndIssue(pick);
-        update_mode();
+        _drainingWrites = nextDrainMode();
+        updateGates();
     }
 
     // Early tag probing uses otherwise-idle CA / tag-bank / HM slots.
-    while (tryProbe()) {
-    }
+    while (tryProbe())
+        updateGates();
 
     // Compute the next wake-up from the queues the policy will
-    // actually serve at that time. The per-bank class minima are
-    // exact, so the next kick lands on the same tick the reference
-    // scheduler's full rescans would pick.
-    Tick wake = earliestWake(DirWrite);
-    if (!_drainingWrites) {
-        wake = std::min(wake, earliestWake(DirRead));
-        wake = std::min(wake, earliestProbe());
-    }
+    // actually serve at that time. The class minima are exact, so the
+    // next kick lands on the same tick the reference scheduler's full
+    // rescans would pick.
+    const Tick wake = earliestWake();
     if (wake != maxTick)
         scheduleKick(std::max(wake, now + 1));
+    // Nothing served is ready now, so the kick just scheduled is no
+    // later than any queued request's issue tick.
+    _settled = wake > now;
 }
 
 void

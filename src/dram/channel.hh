@@ -26,22 +26,26 @@
  *
  * Scheduling core (see DESIGN.md §9): requests live in a fixed-size
  * slab pool allocated at construction and are threaded onto intrusive
- * per-direction FIFO lists — one global list (arrival order, used by
- * the probe picker) and one per bank (used by FR-FCFS selection).
- * Because every timing constraint of a request is a function of only
- * its (bank, op kind, row-hit class), selection and next-wake
- * computation evaluate at most a handful of class representatives per
- * bank instead of rescanning every queued request, while remaining
- * tick- and order-identical to an oldest-first full scan. Completion
- * callbacks are small-buffer-optimized InlineCallables, so the whole
- * enqueue → issue → complete path performs no heap allocation.
+ * lists — one per-direction FIFO (arrival order), one per bank (used
+ * by FR-FCFS selection) and one of the reads still eligible for an
+ * early tag probe (used by the probe picker). Every timing constraint
+ * of a request is a function of only its (bank, op kind, row-hit)
+ * class, so the next wake-up is computed from per-bank class counts
+ * without walking any list, and selection walks a bank's FIFO only
+ * when one of its classes is ready — tick- and order-identical to an
+ * oldest-first full scan. A kick that provably issues and probes
+ * nothing (a new request that cannot issue yet, or a superseded kick
+ * event) is skipped while the timing state is unchanged since the
+ * last kick. Completion callbacks are small-buffer-optimized
+ * InlineCallables, so the whole enqueue → issue → complete path
+ * performs no heap allocation.
  */
 
 #ifndef TSIM_DRAM_CHANNEL_HH
 #define TSIM_DRAM_CHANNEL_HH
 
+#include <bit>
 #include <cstdint>
-#include <deque>
 #include <type_traits>
 #include <vector>
 
@@ -72,8 +76,8 @@ enum class ChanOp : std::uint8_t
 /**
  * Per-request completion callbacks. Sized so the front-ends' real
  * captures (a component pointer plus a shared transaction pointer,
- * or a std::function handed through MainMemory::read) stay on the
- * inline path; the counted heap fallback still handles bigger ones.
+ * or a MainMemory::read callback) stay on the inline path; the
+ * counted heap fallback still handles bigger ones.
  */
 using ChanTagCb = InlineCallable<void(Tick, const TagResult &), 64>;
 using ChanDataCb = InlineCallable<void(Tick), 64>;
@@ -495,12 +499,13 @@ class DramChannel : public SimObject
         }
     };
 
-    /** Probe candidate skipped because its tag bank was busy. */
+    /** Probe candidates skipped because their tag banks were busy. */
     struct ProbeConflictEv
     {
         static constexpr bool traced = false;
+        unsigned count;
 
-        void stats(DramChannel &c) const { ++c.probeBankConflicts; }
+        void stats(DramChannel &c) const { c.probeBankConflicts += count; }
     };
     /// @}
 
@@ -525,19 +530,18 @@ class DramChannel : public SimObject
         std::uint32_t next = NIL;     ///< (next also chains the free list)
         std::uint32_t bankPrev = NIL; ///< per-bank per-direction list
         std::uint32_t bankNext = NIL;
+        std::uint32_t probePrev = NIL; ///< probe-eligible read list
+        std::uint32_t probeNext = NIL;
         bool probePending = false;    ///< probe issued, HM not yet fired
     };
 
+    /** One bank; the fields the wake and selection passes read first. */
     struct BankState
     {
         Tick nextAct = 0;      ///< data mats ready for next ACT
         Tick tagNextAct = 0;   ///< tag mats ready (TDRAM/NDC)
-        // --- open-page state ---
-        bool rowOpen = false;
-        std::uint64_t openRow = 0;
         Tick nextPre = 0;      ///< earliest precharge (tRAS/tWR)
         // --- scheduler state ---
-        List q[2];                     ///< bank FIFO per direction
         std::uint16_t opCount[2][2]{}; ///< queued [dir][op kind]
         /**
          * Queued requests per [dir][op kind] whose row matches the
@@ -548,6 +552,9 @@ class DramChannel : public SimObject
          */
         std::uint16_t hitCount[2][2]{};
         std::uint16_t probeEligible = 0; ///< unprobed reads with tag cb
+        bool rowOpen = false;  ///< open page: a row is open
+        List q[2];                     ///< bank FIFO per direction
+        std::uint64_t openRow = 0;     ///< open page: the open row
     };
 
     /** id→node slot of the read-queue index (open addressing). */
@@ -584,32 +591,77 @@ class DramChannel : public SimObject
                                                             : DirRead;
     }
 
+    /**
+     * Bank-independent terms of classIssue() for one direction (CA
+     * bus, refresh, tRRD/tFAW, DQ turnaround, HM bus), hoisted out of
+     * the bank loops and kept in _gates.
+     */
+    struct ClassGates
+    {
+        Tick kind[2];     ///< [op kind] needing an ACT on a closed bank
+        Tick rowHit;      ///< open page, plain op: row hit (no ACT)
+        Tick rowConflict; ///< open page, plain op: PRE, then ACT
+    };
+
     /** Open-page: true if @p req hits the currently open row. */
     bool rowHit(const ChanReq &req) const;
+
+    /** True for a read that may still get an early tag probe. */
+    static bool
+    wantsProbe(const ChanReq &req)
+    {
+        return !req.probed && static_cast<bool>(req.onTagResult);
+    }
+
+    /**
+     * Write-drain hysteresis: the mode kick() serves at the current
+     * write-queue depth (enter at writeHigh, leave at writeLow).
+     */
+    bool
+    nextDrainMode() const
+    {
+        return _drainingWrites ? _qCount[DirWrite] > _cfg.writeLow
+                               : _qCount[DirWrite] >= _cfg.writeHigh;
+    }
 
     void kick();
     void scheduleKick(Tick when);
 
-    /** Earliest tick at which @p req could be issued. */
+    /** Recompute _gates from the current timing state. */
+    void updateGates();
+
+    /**
+     * Earliest issue tick shared by every request of one class: op
+     * kind @p kind of direction @p dir in bank @p b, row hit or not.
+     */
+    Tick classIssue(unsigned dir, const BankState &b, unsigned kind,
+                    bool row_hit) const;
+
+    /** Earliest tick at which @p req could be issued (_gates current). */
     Tick earliestIssue(const ChanReq &req) const;
 
     /**
      * FR-FCFS pick for @p dir at @p now: the oldest issuable row hit
      * (open page), else the oldest issuable request. NIL if none.
-     * Walks only banks whose bank-level constraints can be met now,
-     * and inside a bank evaluates at most one representative per
-     * (op kind, row-hit) class — requests of one class share every
-     * timing constraint, so this is exactly the oldest-first scan.
      */
     std::uint32_t selectReady(unsigned dir, Tick now) const;
 
-    /** First ready node in @p b's @p dir FIFO older than @p seq_bound. */
+    /**
+     * Oldest node in @p b's @p dir FIFO, younger than @p seq_bound,
+     * whose class is ready at @p now; NIL if none. The classes are
+     * checked first, so a bank with none ready is never walked.
+     */
     std::uint32_t firstReadyInBank(const BankState &b, unsigned dir,
                                    Tick now, bool row_hits_only,
                                    std::uint64_t seq_bound) const;
 
-    /** Exact min earliestIssue over queue @p dir (maxTick if empty). */
-    Tick earliestWake(unsigned dir) const;
+    /**
+     * Next kick tick: the exact min earliestIssue over the queues the
+     * drain mode serves, and (outside write drain) the earliest probe
+     * issue; maxTick if none. Reads the classes present in each bank
+     * from opCount/hitCount: O(banks), no list walk.
+     */
+    Tick earliestWake() const;
 
     /** Unlink @p idx from its queue and issue it at the current tick. */
     void dequeueAndIssue(std::uint32_t idx);
@@ -627,11 +679,32 @@ class DramChannel : public SimObject
     /** Try to issue one early tag probe; @return true if issued. */
     bool tryProbe();
 
+    /** Probe-issue constraints shared by every bank (CA, refresh, HM). */
+    Tick probeGate() const;
+
     /**
-     * Earliest tick a probe could be issued (maxTick if none),
-     * from the per-bank probeEligible aggregate: O(banks).
+     * Earliest probe issue for an eligible read whose tag bank frees
+     * at @p tag_free; maxTick if probing is off, write drain holds
+     * probes back, or @p tag_free is maxTick.
      */
-    Tick earliestProbe() const;
+    Tick probeWake(Tick tag_free) const;
+
+    /**
+     * True if no probe can issue at @p now. @p conflicts is then the
+     * number of eligible reads whose tag bank is busy — what a failed
+     * tryProbe() counts — found in O(banks) without walking.
+     */
+    bool probeBlocked(Tick now, unsigned &conflicts) const;
+
+    /** Count @p conflicts probe bank conflicts (no-op for zero). */
+    void noteProbeConflicts(unsigned conflicts);
+
+    /**
+     * Handle the kick an enqueue of @p idx triggers without running
+     * kick(), when that provably issues and probes nothing (see
+     * _settled). @return false if kick() must run.
+     */
+    bool skipEnqueueKick(std::uint32_t idx);
 
     /** Deliver a probe HM result to the request with @p id. */
     void deliverProbe(std::uint64_t id, Tick t, const TagResult &tr);
@@ -642,8 +715,30 @@ class DramChannel : public SimObject
     void freeNode(std::uint32_t idx);
     void qLink(unsigned dir, std::uint32_t idx);
     void qUnlink(unsigned dir, std::uint32_t idx);
+    void probeLink(std::uint32_t idx);
+    void probeUnlink(std::uint32_t idx);
     void bankLink(BankState &b, unsigned dir, std::uint32_t idx);
     void bankUnlink(BankState &b, unsigned dir, std::uint32_t idx);
+
+    /**
+     * Call @p fn(bank) for every bank with a queued read (if
+     * @p reads) or write (if @p writes), in bank order.
+     */
+    template <typename Fn>
+    void
+    forQueuedBanks(bool reads, bool writes, Fn &&fn) const
+    {
+        for (std::size_t w = 0; w < _queuedBanks[DirRead].size(); ++w) {
+            std::uint64_t bits =
+                (reads ? _queuedBanks[DirRead][w] : 0) |
+                (writes ? _queuedBanks[DirWrite][w] : 0);
+            while (bits) {
+                fn(_banks[w * 64 + std::countr_zero(bits)]);
+                bits &= bits - 1;
+            }
+        }
+    }
+
     /** Recount hitCount after the bank's open row changed. */
     void rebuildHitCounts(BankState &b);
     /// @}
@@ -694,7 +789,12 @@ class DramChannel : public SimObject
     std::vector<OrphanCb> _orphans;
 
     std::vector<BankState> _banks;
-    std::deque<Tick> _actWindow;   ///< recent ACTs for tXAW
+    /** Bitset per direction of the banks whose FIFO is non-empty. */
+    std::vector<std::uint64_t> _queuedBanks[2];
+    List _probeQ;                 ///< probe-eligible reads, arrival order
+    Tick _actRing[4] = {};        ///< last four ACTs (tXAW window)
+    unsigned _actHead = 0;        ///< oldest ACT once the ring is full
+    unsigned _acts = 0;           ///< ACTs recorded, saturating at 4
     Tick _lastAct = 0;
     Tick _caFreeAt = 0;
     Tick _hmFreeAt = 0;
@@ -704,6 +804,23 @@ class DramChannel : public SimObject
     Tick _refreshUntil = 0;
     bool _drainingWrites = false;
     Tick _nextKick = 0;
+
+    /**
+     * No timing state has changed since the last kick() returned, so
+     * no queued request can issue before the pending kick at
+     * _nextKick. Set at the end of kick(); cleared at its start and
+     * by forceDrain() and startRefresh(), the only timing-state
+     * changes outside kick(). enqueue() and superseded kick events
+     * use it to skip kicks that would issue nothing.
+     */
+    bool _settled = false;
+
+    /**
+     * ClassGates per direction. Current inside kick() and whenever
+     * _settled holds: timing state changes only where _settled is
+     * cleared, and kick() recomputes them after each issue or probe.
+     */
+    ClassGates _gates[2]{};
 
     FlushBuffer _flush;
     Tick _flushDrainUntil = 0;

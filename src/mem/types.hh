@@ -9,9 +9,9 @@
 #define TSIM_MEM_TYPES_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
+#include "sim/inline_function.hh"
 #include "sim/ticks.hh"
 
 namespace tsim
@@ -105,8 +105,12 @@ struct MemPacket
     AccessOutcome outcome = AccessOutcome::NumOutcomes;
 };
 
-/** Completion callback handed in with each demand packet. */
-using RespCallback = std::function<void(MemPacket &)>;
+/**
+ * Completion callback handed in with each demand packet. Sized for
+ * the request engines' captures (a component pointer plus a core
+ * index) so the per-demand path never allocates.
+ */
+using RespCallback = InlineCallable<void(MemPacket &), 16>;
 
 } // namespace tsim
 

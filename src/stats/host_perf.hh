@@ -30,6 +30,7 @@ struct HostPerf
     std::uint64_t runs = 0;      ///< simulations aggregated
     std::uint64_t chanKicks = 0; ///< channel scheduler invocations
     std::uint64_t chanScans = 0; ///< request nodes examined by them
+    std::uint64_t chanCmds = 0;  ///< Read/Write/ActRd/ActWr issued
 
     void
     merge(const HostPerf &o)
@@ -40,6 +41,7 @@ struct HostPerf
         runs += o.runs;
         chanKicks += o.chanKicks;
         chanScans += o.chanScans;
+        chanCmds += o.chanCmds;
     }
 
     /** Kernel events per host second. */

@@ -208,14 +208,17 @@ System::collectReport(std::uint64_t events, double host_seconds)
     r.hostPerf.simTicks = r.runtimeTicks;
     r.hostPerf.hostSeconds = host_seconds;
     r.hostPerf.runs = 1;
-    for (unsigned c = 0; c < _dcache->numChannels(); ++c) {
-        r.hostPerf.chanKicks += _dcache->channel(c).hostKicks;
-        r.hostPerf.chanScans += _dcache->channel(c).hostScanSteps;
-    }
-    for (unsigned c = 0; c < _mm->numChannels(); ++c) {
-        r.hostPerf.chanKicks += _mm->channel(c).hostKicks;
-        r.hostPerf.chanScans += _mm->channel(c).hostScanSteps;
-    }
+    auto add_channel = [&r](const DramChannel &ch) {
+        r.hostPerf.chanKicks += ch.hostKicks;
+        r.hostPerf.chanScans += ch.hostScanSteps;
+        r.hostPerf.chanCmds += static_cast<std::uint64_t>(
+            ch.issuedReads.value() + ch.issuedWrites.value() +
+            ch.issuedActRd.value() + ch.issuedActWr.value());
+    };
+    for (unsigned c = 0; c < _dcache->numChannels(); ++c)
+        add_channel(_dcache->channel(c));
+    for (unsigned c = 0; c < _mm->numChannels(); ++c)
+        add_channel(_mm->channel(c));
     if (_tracer)
         _tracer->flushAll();
     if (_checker) {

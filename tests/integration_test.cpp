@@ -206,5 +206,23 @@ TEST(Energy, TransfersDominateAndScaleWithBloat)
     EXPECT_GT(cl.energy.cacheDqJ, 0.0);
 }
 
+TEST(HostPerf, ChannelKicksPerCommandStayLow)
+{
+    // mg.D on TDRAM at the quick-set size (tdram_cli run mg.D TDRAM
+    // --ops 1500 --warmup 20000). Kicks that can issue nothing are
+    // skipped, so scheduler runs stay close to one per command; the
+    // pre-skip scheduler ran 2.05 per command here. Both counts are
+    // exact, so the bound does not depend on host speed.
+    SystemConfig cfg;
+    cfg.design = Design::Tdram;
+    cfg.cores.opsPerCore = 1500;
+    cfg.warmupOpsPerCore = 20000;
+    const SimReport r = runOne(cfg, findWorkload("mg.D"));
+    ASSERT_GT(r.hostPerf.chanCmds, 0u);
+    EXPECT_LE(static_cast<double>(r.hostPerf.chanKicks) /
+                  static_cast<double>(r.hostPerf.chanCmds),
+              1.4);
+}
+
 } // namespace
 } // namespace tsim

@@ -20,6 +20,7 @@
 #define TSIM_TESTS_LEGACY_FRONTEND_HH
 
 #include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -43,6 +44,9 @@ namespace tsim
 {
 namespace legacyfe
 {
+
+/** The frozen front-end keeps its copyable std::function callback. */
+using RespCallback = std::function<void(MemPacket &)>;
 
 /** Frozen pre-probe-handle tag array (re-searches on every call). */
 class TagArray

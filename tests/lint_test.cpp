@@ -138,6 +138,16 @@ struct Hooks
 };
 )fix"},
 
+    {"HotAllocMemCallback", "hot-alloc",
+     "src/mem/fix_types.cc",
+     R"fix(
+using RespCallback = std::function<void(MemPacket &)>;
+)fix",
+     "src/mem/fix_types.cc",
+     R"fix(
+using RespCallback = InlineCallable<void(MemPacket &), 16>;
+)fix"},
+
     {"NondetTime", "nondet",
      "src/trace/fix_stamp.cc",
      R"fix(

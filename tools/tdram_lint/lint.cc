@@ -244,7 +244,7 @@ lex(const std::string &s)
 
 /** Directories whose code is hot-path (hot-alloc / sbo-spill scope). */
 const char *const kHotDirs[] = {
-    "src/sim/", "src/dram/", "src/dcache/", "src/workload/",
+    "src/sim/", "src/dram/", "src/dcache/", "src/workload/", "src/mem/",
 };
 
 /**
@@ -309,7 +309,7 @@ const LintRuleInfo kRules[] = {
      "lambdas handed to InlineCallable/InlineFunction must use explicit "
      "init-captures ([this, txn = txn]); no [&]/[=] defaults, no by-ref "
      "or plain-copy capture of PoolRef values"},
-    {"hot-alloc", "src/sim, src/dram, src/dcache, src/workload",
+    {"hot-alloc", "src/sim, src/dram, src/dcache, src/workload, src/mem",
      "no new/malloc/std::function/make_shared/make_unique/unordered "
      "containers, and no std::string/std::vector locals, outside "
      "setup/teardown"},
