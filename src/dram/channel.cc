@@ -98,7 +98,10 @@ void
 DramChannel::freeNode(std::uint32_t idx)
 {
     ReqNode &n = _pool[idx];
-    n.req = ChanReq{};  // drop any callback still held
+    // Drop any callback still held; the rest of the request is
+    // overwritten when the node is next taken.
+    n.req.onTagResult.reset();
+    n.req.onDataDone.reset();
     n.probePending = false;
     n.prev = n.bankPrev = n.bankNext = n.probePrev = n.probeNext = NIL;
     n.next = _freeHead;

@@ -69,7 +69,7 @@ MainMemory::submit(unsigned chan, ChanReq req, bool is_write)
     if (front.empty() && space) {
         ch.enqueue(std::move(req));
     } else {
-        front.push_back(Pending{std::move(req), is_write});
+        front.push(Pending{std::move(req), is_write});
         frontQueueDepth.sample(static_cast<double>(front.size()));
     }
 }
@@ -86,7 +86,7 @@ MainMemory::drainFront(unsigned chan)
         if (!space)
             break;
         ChanReq req = std::move(front.front().req);
-        front.pop_front();
+        front.pop();
         ch.enqueue(std::move(req));
     }
 }

@@ -13,7 +13,7 @@
 #ifndef TSIM_DRAM_MAIN_MEMORY_HH
 #define TSIM_DRAM_MAIN_MEMORY_HH
 
-#include <deque>
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -86,7 +86,52 @@ class MainMemory : public SimObject
     struct Pending
     {
         ChanReq req;
-        bool isWrite;
+        bool isWrite = false;
+    };
+
+    /**
+     * One channel's front queue: a FIFO ring over a vector whose
+     * length is a power of two and doubles when the ring is full, so
+     * a push allocates only while the queue reaches a new depth.
+     */
+    class FrontQueue
+    {
+      public:
+        bool empty() const { return _size == 0; }
+        std::size_t size() const { return _size; }
+        Pending &front() { return _slots[_head]; }
+
+        void
+        push(Pending &&p)
+        {
+            if (_size == _slots.size())
+                grow();
+            _slots[(_head + _size) & (_slots.size() - 1)] = std::move(p);
+            ++_size;
+        }
+
+        void
+        pop()
+        {
+            _head = (_head + 1) & (_slots.size() - 1);
+            --_size;
+        }
+
+      private:
+        /** Double the ring (4 slots first), oldest entry at slot 0. */
+        void
+        grow()
+        {
+            std::rotate(_slots.begin(),
+                        _slots.begin() + static_cast<std::ptrdiff_t>(_head),
+                        _slots.end());
+            _head = 0;
+            _slots.resize(_slots.empty() ? 4 : 2 * _slots.size());
+        }
+
+        std::vector<Pending> _slots;
+        std::size_t _head = 0;
+        std::size_t _size = 0;
     };
 
     void drainFront(unsigned chan);
@@ -95,7 +140,7 @@ class MainMemory : public SimObject
     MainMemoryConfig _cfg;
     AddressMap _map;
     std::vector<std::unique_ptr<DramChannel>> _chans;
-    std::vector<std::deque<Pending>> _front;
+    std::vector<FrontQueue> _front;
     std::uint64_t _nextId = 1;
 };
 

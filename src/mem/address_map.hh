@@ -12,6 +12,7 @@
 #ifndef TSIM_MEM_ADDRESS_MAP_HH
 #define TSIM_MEM_ADDRESS_MAP_HH
 
+#include <bit>
 #include <cstdint>
 
 #include "mem/types.hh"
@@ -63,6 +64,11 @@ class AddressMap
         _rowsPerBank = lines / (_channels * _banks * _linesPerRow);
         fatal_if(_rowsPerBank == 0,
                  "capacity too small for channel/bank/row geometry");
+        _lineMask = lines - 1;
+        _chanShift = static_cast<unsigned>(std::countr_zero(channels));
+        _bankShift = static_cast<unsigned>(std::countr_zero(banks));
+        _colShift =
+            static_cast<unsigned>(std::countr_zero(_linesPerRow));
     }
 
     unsigned channels() const { return _channels; }
@@ -70,19 +76,21 @@ class AddressMap
     std::uint64_t rowsPerBank() const { return _rowsPerBank; }
     std::uint64_t capacity() const { return _capacity; }
 
-    /** Decode a byte address (RoCoRaBaCh, line-interleaved). */
+    /**
+     * Decode a byte address (RoCoRaBaCh, line-interleaved). Every
+     * dimension is a power of two, so each div/mod is a shift/mask.
+     */
     DramCoord
     decode(Addr addr) const
     {
-        std::uint64_t line = (addr / lineBytes) % (_capacity / lineBytes);
+        std::uint64_t line = (addr / lineBytes) & _lineMask;
         DramCoord c;
-        c.channel = static_cast<unsigned>(line % _channels);
-        line /= _channels;
-        c.bank = static_cast<unsigned>(line % _banks);
-        line /= _banks;
-        c.col = line % _linesPerRow;
-        line /= _linesPerRow;
-        c.row = line % _rowsPerBank;
+        c.channel = static_cast<unsigned>(line & (_channels - 1));
+        line >>= _chanShift;
+        c.bank = static_cast<unsigned>(line & (_banks - 1));
+        line >>= _bankShift;
+        c.col = line & (_linesPerRow - 1);
+        c.row = (line >> _colShift) & (_rowsPerBank - 1);
         return c;
     }
 
@@ -99,6 +107,10 @@ class AddressMap
     std::uint64_t _rowBytes = 0;
     std::uint64_t _linesPerRow = 1;
     std::uint64_t _rowsPerBank = 1;
+    std::uint64_t _lineMask = 0;
+    unsigned _chanShift = 0;
+    unsigned _bankShift = 0;
+    unsigned _colShift = 0;
 };
 
 } // namespace tsim

@@ -24,6 +24,7 @@
 #ifndef TSIM_TDRAM_TAG_ARRAY_HH
 #define TSIM_TDRAM_TAG_ARRAY_HH
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -43,7 +44,14 @@ struct TagResult
     bool viaProbe = false;   ///< result produced by an early tag probe
 };
 
-/** Set-associative functional tag array with LRU replacement. */
+/**
+ * Set-associative functional tag array with LRU replacement.
+ *
+ * Layout (DESIGN.md §13): one 8-byte metadata word per line (tag << 2 |
+ * dirty << 1 | valid), scanned on every lookup, and a separate LRU
+ * stamp per line that exists only when ways > 1 and is read only on a
+ * miss. A direct-mapped array is therefore 8 B per line.
+ */
 class TagArray
 {
   public:
@@ -56,8 +64,7 @@ class TagArray
     struct Probe
     {
         TagResult result;        ///< identical to what peek() returns
-        std::uint64_t set = 0;
-        unsigned way = 0;        ///< hit way on a hit, victim way else
+        std::uint64_t line = 0;  ///< hit line on a hit, victim line else
     };
 
     /**
@@ -73,7 +80,10 @@ class TagArray
                  "capacity must be a multiple of ways*lineBytes");
         _sets = lines / ways;
         fatal_if(_sets & (_sets - 1), "set count must be a power of two");
-        _entries.resize(lines);
+        _setShift = static_cast<unsigned>(std::countr_zero(_sets));
+        _meta.resize(lines);
+        if (ways > 1)
+            _lru.resize(lines);
     }
 
     std::uint64_t numSets() const { return _sets; }
@@ -88,7 +98,7 @@ class TagArray
 
     /**
      * One associative search of @p addr's set without changing any
-     * state. On a miss, the handle's way is the LRU victim way (an
+     * state. On a miss, the handle's line is the LRU victim way (an
      * invalid way wins outright) and result.victimAddr/valid/dirty
      * describe the line an install would evict — what the in-DRAM
      * comparator (TDRAM) or controller-side compare (others) observes.
@@ -98,36 +108,38 @@ class TagArray
     {
         Probe p;
         const std::uint64_t set = setIndex(addr);
-        const Addr want = tagOf(addr);
-        p.set = set;
-        const Entry *base = &_entries[set * _ways];
-        unsigned victim = 0;
-        bool invalidFound = false;
+        const std::uint64_t want = (tagOf(addr) << 2) | validBit;
+        const std::uint64_t base = set * _ways;
+        const std::uint64_t *meta = &_meta[base];
         for (unsigned w = 0; w < _ways; ++w) {
-            const Entry &e = base[w];
-            if (e.valid() && e.tag() == want) {
-                p.way = w;
+            if ((meta[w] & ~dirtyBit) == want) {
+                p.line = base + w;
                 p.result.hit = true;
                 p.result.valid = true;
-                p.result.dirty = e.dirty();
+                p.result.dirty = meta[w] & dirtyBit;
                 p.result.victimAddr = addr;
                 return p;
             }
-            if (!invalidFound) {
-                if (!e.valid()) {
-                    invalidFound = true;
-                    victim = w;
-                } else if (e.lru < base[victim].lru) {
-                    victim = w;
-                }
-            }
         }
-        const Entry &v = base[victim];
-        p.way = victim;
-        p.result.valid = v.valid();
-        p.result.dirty = v.valid() && v.dirty();
-        p.result.victimAddr = v.valid() ? rebuildAddr(set, v.tag()) : 0;
+        p.line = _ways > 1 ? base + victimWay(base) : base;
+        const std::uint64_t v = _meta[p.line];
+        p.result.valid = v & validBit;
+        p.result.dirty = (v & (validBit | dirtyBit)) == (validBit | dirtyBit);
+        p.result.victimAddr = (v & validBit) ? rebuildAddr(set, v >> 2) : 0;
         return p;
+    }
+
+    /**
+     * Hint that @p addr's set is about to be probed: starts loading
+     * its metadata (and stamps) into the host cache. No state change.
+     */
+    void
+    prefetch(Addr addr) const
+    {
+        const std::uint64_t base = setIndex(addr) * _ways;
+        __builtin_prefetch(&_meta[base]);
+        if (_ways > 1)
+            __builtin_prefetch(&_lru[base]);
     }
 
     /** Look up @p addr without changing any state. */
@@ -138,7 +150,7 @@ class TagArray
     touch(const Probe &p)
     {
         if (p.result.hit)
-            entryAt(p).lru = ++_clock;
+            stamp(p.line);
     }
 
     /** Mark the probed line dirty (write hit). Panics on a miss. */
@@ -146,9 +158,8 @@ class TagArray
     markDirty(const Probe &p)
     {
         panic_if(!p.result.hit, "markDirty on non-resident line");
-        Entry &e = entryAt(p);
-        e.setDirty(true);
-        e.lru = ++_clock;
+        _meta[p.line] |= dirtyBit;
+        stamp(p.line);
     }
 
     /**
@@ -159,9 +170,9 @@ class TagArray
     void
     install(Addr addr, bool dirty, const Probe &p)
     {
-        Entry &e = entryAt(p);
-        e.assign(tagOf(addr), dirty);
-        e.lru = ++_clock;
+        _meta[p.line] = (tagOf(addr) << 2) | (dirty ? dirtyBit : 0) |
+                        validBit;
+        stamp(p.line);
     }
 
     /**
@@ -178,35 +189,31 @@ class TagArray
     void
     markDirty(Addr addr)
     {
-        Entry *e = find(addr);
-        panic_if(!e, "markDirty on non-resident line %llx",
+        const Probe p = probe(addr);
+        panic_if(!p.result.hit, "markDirty on non-resident line %llx",
                  (unsigned long long)addr);
-        e->setDirty(true);
-        e->lru = ++_clock;
+        markDirty(p);
     }
 
     /** Mark a resident line clean (after a writeback). */
     void
     markClean(Addr addr)
     {
-        if (Entry *e = find(addr))
-            e->setDirty(false);
+        const Probe p = probe(addr);
+        if (p.result.hit)
+            _meta[p.line] &= ~dirtyBit;
     }
 
     /** Touch LRU state on a hit. */
-    void
-    touch(Addr addr)
-    {
-        if (Entry *e = find(addr))
-            e->lru = ++_clock;
-    }
+    void touch(Addr addr) { touch(probe(addr)); }
 
     /** Drop a line if resident. */
     void
     invalidate(Addr addr)
     {
-        if (Entry *e = find(addr))
-            e->setValid(false);
+        const Probe p = probe(addr);
+        if (p.result.hit)
+            _meta[p.line] &= ~validBit;
     }
 
     /** True if the line is resident. */
@@ -217,66 +224,61 @@ class TagArray
     validCount() const
     {
         std::uint64_t n = 0;
-        for (const auto &e : _entries)
-            n += e.valid();
+        for (const std::uint64_t m : _meta)
+            n += m & validBit;
         return n;
     }
 
   private:
-    /**
-     * Packed way metadata: tag, dirty and valid share one word so a
-     * set scan touches 16 B/way instead of 24 and the compare is one
-     * load + mask. Line tags are addr/lineBytes/sets <= 2^58, so two
-     * flag bits always fit.
-     */
-    struct Entry
-    {
-        std::uint64_t meta = 0;  ///< tag << 2 | dirty << 1 | valid
-        std::uint64_t lru = 0;
+    // Line tags are addr/lineBytes/sets <= 2^58, so both flags fit
+    // below the tag.
+    static constexpr std::uint64_t validBit = 1;
+    static constexpr std::uint64_t dirtyBit = 2;
 
-        bool valid() const { return meta & 1; }
-        bool dirty() const { return meta & 2; }
-        Addr tag() const { return meta >> 2; }
-        void setDirty(bool d) { meta = d ? meta | 2 : meta & ~2ull; }
-        void setValid(bool v) { meta = v ? meta | 1 : meta & ~1ull; }
-        void
-        assign(Addr tag, bool dirty)
-        {
-            meta = (tag << 2) | (dirty ? 2u : 0u) | 1u;
-        }
-    };
-
-    Addr tagOf(Addr addr) const { return (addr / lineBytes) / _sets; }
+    Addr tagOf(Addr addr) const { return (addr / lineBytes) >> _setShift; }
 
     Addr
     rebuildAddr(std::uint64_t set, Addr tag) const
     {
-        return (tag * _sets + set) * lineBytes;
+        return ((tag << _setShift) | set) * lineBytes;
     }
 
-    Entry &entryAt(const Probe &p)
+    /**
+     * LRU victim of the set starting at line @p base: the first
+     * strict minimum of (valid ? stamp : 0). Stamps start at 1, so an
+     * invalid way wins outright and the first of several invalid ways
+     * is taken, as is the oldest valid way when none is invalid.
+     */
+    unsigned
+    victimWay(std::uint64_t base) const
     {
-        return _entries[p.set * _ways + p.way];
-    }
-
-    Entry *
-    find(Addr addr)
-    {
-        const std::uint64_t set = setIndex(addr);
-        const Addr want = tagOf(addr);
-        Entry *base = &_entries[set * _ways];
+        const std::uint64_t *meta = &_meta[base];
+        const std::uint64_t *lru = &_lru[base];
+        unsigned victim = 0;
+        std::uint64_t oldest = ~std::uint64_t{0};
         for (unsigned w = 0; w < _ways; ++w) {
-            Entry &e = base[w];
-            if (e.valid() && e.tag() == want)
-                return &e;
+            const std::uint64_t key = lru[w] & (0 - (meta[w] & validBit));
+            const bool older = key < oldest;
+            oldest = older ? key : oldest;
+            victim = older ? w : victim;
         }
-        return nullptr;
+        return victim;
+    }
+
+    /** Record a use of @p line; a direct-mapped array keeps no LRU. */
+    void
+    stamp(std::uint64_t line)
+    {
+        if (_ways > 1)
+            _lru[line] = ++_clock;
     }
 
     unsigned _ways;
+    unsigned _setShift = 0;
     std::uint64_t _sets;
     std::uint64_t _clock = 0;
-    std::vector<Entry> _entries;
+    std::vector<std::uint64_t> _meta;  ///< tag << 2 | dirty << 1 | valid
+    std::vector<std::uint64_t> _lru;   ///< use stamps; empty if ways == 1
 };
 
 } // namespace tsim

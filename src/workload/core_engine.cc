@@ -248,9 +248,18 @@ CoreEngine::warmup(std::uint64_t ops_per_core)
     for (unsigned c = 0; c < _cfg.cores; ++c) {
         auto &core = _cores[c];
         SramCache &l1 = *_l1s[c];
+        // Each op is drawn one iteration early, so its DRAM-cache tag
+        // load (a host-cache miss on most lines) overlaps the draw of
+        // the op after it. The draws keep their order.
+        MemOp ahead{};
+        if (ops_per_core > 0)
+            ahead = core.gen->next(_rng);
         for (std::uint64_t i = 0; i < ops_per_core; ++i) {
-            const MemOp op = core.gen->next(_rng);
+            const MemOp op = ahead;
             const Addr line = lineAlign(op.addr);
+            _dcache.tags().prefetch(line);
+            if (i + 1 < ops_per_core)
+                ahead = core.gen->next(_rng);
             const auto l1res = l1.access(line, op.isStore);
             if (l1res.hit)
                 continue;

@@ -133,6 +133,14 @@ class ZipfGenerator : public AddressGenerator
         if (_alpha > 1.0) {
             _am1 = _alpha - 1.0;
             _b = std::pow(2.0, _am1);
+            _rejectBelow =
+                std::pow(static_cast<double>(_lines) + 1.0, -_am1) *
+                (1.0 - 1e-9);
+            _tSmall.resize(tTableSize);
+            for (unsigned i = 1; i < tTableSize; ++i) {
+                const double x = i;
+                _tSmall[i] = std::pow(1.0 + 1.0 / x, _am1);
+            }
         }
     }
 
@@ -148,17 +156,27 @@ class ZipfGenerator : public AddressGenerator
     }
 
   private:
-    /** Gray's rejection sampler for alpha > 1. */
+    /**
+     * Gray's rejection sampler for alpha > 1. Two shortcuts skip a
+     * pow() without changing any draw (DESIGN.md §13):
+     * u below _rejectBelow gives x >= lines + 1 by a margin far wider
+     * than pow's rounding, so it is rejected unevaluated, and t for
+     * small x is read from a table built with the same expression.
+     */
     std::uint64_t
     sampleHeavy(Rng &rng)
     {
         for (;;) {
             const double u = 1.0 - rng.uniform();  // (0, 1]
             const double v = rng.uniform();
+            if (u < _rejectBelow)
+                continue;
             const double x = std::floor(std::pow(u, -1.0 / _am1));
             if (x > static_cast<double>(_lines) || x < 1.0)
                 continue;
-            const double t = std::pow(1.0 + 1.0 / x, _am1);
+            const double t =
+                x < tTableSize ? _tSmall[static_cast<unsigned>(x)]
+                               : std::pow(1.0 + 1.0 / x, _am1);
             if (v * x * (t - 1.0) / (_b - 1.0) <= t / _b)
                 return static_cast<std::uint64_t>(x) - 1;
         }
@@ -194,8 +212,13 @@ class ZipfGenerator : public AddressGenerator
     std::uint64_t _lines;
     double _alpha;
     double _storeFraction;
+    /** Ranks x below this read t = (1 + 1/x)^(alpha-1) from _tSmall. */
+    static constexpr unsigned tTableSize = 1024;
+
     double _am1 = 0;
     double _b = 0;
+    double _rejectBelow = 0;     ///< u below this gives x > lines
+    std::vector<double> _tSmall; ///< t by rank x, for x < tTableSize
 };
 
 /**

@@ -7,7 +7,10 @@
 
 #include <set>
 
+#include "dcache/dram_cache.hh"
+#include "dram/main_memory.hh"
 #include "mem/address_map.hh"
+#include "sim/rng.hh"
 
 namespace tsim
 {
@@ -69,6 +72,64 @@ TEST(AddressMap, WrapsBeyondCapacity)
     EXPECT_EQ(a.bank, b.bank);
     EXPECT_EQ(a.row, b.row);
     EXPECT_EQ(a.col, b.col);
+}
+
+/** The decode as plain div/mod, the definition the shifts must meet. */
+DramCoord
+divisionDecode(std::uint64_t capacity, unsigned channels, unsigned banks,
+               std::uint64_t row_bytes, Addr addr)
+{
+    const std::uint64_t lines_per_row = row_bytes / lineBytes;
+    const std::uint64_t rows =
+        capacity / lineBytes / (channels * banks * lines_per_row);
+    std::uint64_t line = (addr / lineBytes) % (capacity / lineBytes);
+    DramCoord c;
+    c.channel = static_cast<unsigned>(line % channels);
+    line /= channels;
+    c.bank = static_cast<unsigned>(line % banks);
+    line /= banks;
+    c.col = line % lines_per_row;
+    line /= lines_per_row;
+    c.row = line % rows;
+    return c;
+}
+
+TEST(AddressMap, DecodeMatchesDivisionFormula)
+{
+    struct Geometry
+    {
+        std::uint64_t capacity;
+        unsigned channels;
+        unsigned banks;
+        std::uint64_t rowBytes;
+    };
+    const DramCacheConfig dc;
+    const MainMemoryConfig mm;
+    const Geometry geoms[] = {
+        {dc.capacityBytes, dc.channels, dc.banks, dc.rowBytes},
+        {mm.capacityBytes, mm.channels, mm.banks, mm.rowBytes},
+        {1ULL << 26, mm.channels, mm.banks, mm.rowBytes},
+        {1ULL << 30, 8, 16, 1024},
+        {1ULL << 20, 2, 4, 512},
+        {1ULL << 12, 1, 1, 64},
+        {1ULL << 34, 16, 32, 8192},
+    };
+    Rng rng(29);
+    for (const Geometry &g : geoms) {
+        const AddressMap m(g.capacity, g.channels, g.banks, g.rowBytes);
+        for (int i = 0; i < 20000; ++i) {
+            // Mostly in range, sometimes far beyond (decode wraps).
+            const Addr addr = (i & 1) ? rng.next()
+                                      : rng.range(g.capacity * 2);
+            const DramCoord got = m.decode(addr);
+            const DramCoord want = divisionDecode(
+                g.capacity, g.channels, g.banks, g.rowBytes, addr);
+            ASSERT_EQ(got.channel, want.channel) << std::hex << addr;
+            ASSERT_EQ(got.bank, want.bank) << std::hex << addr;
+            ASSERT_EQ(got.row, want.row) << std::hex << addr;
+            ASSERT_EQ(got.col, want.col) << std::hex << addr;
+        }
+    }
 }
 
 /** Property: uniform addresses spread evenly over channels/banks. */

@@ -91,6 +91,51 @@ TEST(ZipfGenerator, FlatAlphaSpreads)
     EXPECT_GT(uniq.size(), static_cast<std::size_t>(n / 2));
 }
 
+/** FNV-1a over the first 200k ops of one seeded Zipf stream. */
+std::uint64_t
+zipfStreamHash(double alpha, std::uint64_t lines)
+{
+    ZipfGenerator g(0, lines * lineBytes, alpha, 0.25);
+    Rng rng(11);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (int i = 0; i < 200000; ++i) {
+        const MemOp op = g.next(rng);
+        h = (h ^ (op.addr | (op.isStore ? 1u : 0u))) * 0x100000001b3ULL;
+    }
+    return h;
+}
+
+// Pins every draw of both samplers (alpha <= 1 and the rejection
+// sampler), so a shortcut in either cannot move a single address or
+// RNG step. The constants come from the pow-per-draw sampler.
+TEST(ZipfGenerator, StreamsArePinned)
+{
+    struct Case
+    {
+        double alpha;
+        std::uint64_t lines;
+        std::uint64_t hash;
+    };
+    const Case cases[] = {
+        {0.6, 5243, 0x773656408580a883ULL},
+        {0.6, 63000, 0x154e744bbee95483ULL},
+        {0.6, 1048576, 0x681399daa06a5943ULL},
+        {1.1, 5243, 0x4cf4375fa22eac76ULL},
+        {1.1, 63000, 0x225376624b235f0aULL},
+        {1.1, 1048576, 0xd35de3f3e0f38fccULL},
+        {1.2, 5243, 0xcfe58d6f04f1c5d7ULL},
+        {1.2, 63000, 0x65080852b8515e68ULL},
+        {1.2, 1048576, 0xcc9178874cda2919ULL},
+        {2.5, 5243, 0x8c2d9755a4a78b3cULL},
+        {2.5, 63000, 0x3a4cc14d66b487bcULL},
+        {2.5, 1048576, 0xa5809e6964d18dbcULL},
+    };
+    for (const Case &c : cases) {
+        EXPECT_EQ(zipfStreamHash(c.alpha, c.lines), c.hash)
+            << "alpha " << c.alpha << " lines " << c.lines;
+    }
+}
+
 TEST(StencilGenerator, LastArrayIsStoreTarget)
 {
     StencilGenerator g(0, 4 * 64 * lineBytes, 4);

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <vector>
 
 #include "sim/rng.hh"
 #include "tdram/tag_array.hh"
@@ -127,7 +129,12 @@ TEST(TagArray, CapacityNeverExceeded)
     EXPECT_LE(t.validCount(), kCap / lineBytes);
 }
 
-/** Property: the tag array agrees with a reference model. */
+/**
+ * Property: the tag array agrees with a reference model on every
+ * hit, on every miss's victim (valid, dirty, address), and through
+ * installs, touches, dirty/clean marks and invalidations, using both
+ * the address-based and the probe-handle API.
+ */
 class TagArrayModelCheck : public ::testing::TestWithParam<unsigned>
 {};
 
@@ -137,7 +144,9 @@ TEST_P(TagArrayModelCheck, MatchesReferenceModel)
     TagArray t(1 << 12, ways);  // 64 lines
     const std::uint64_t sets = t.numSets();
 
-    // Reference: per set, list of (tag, dirty) in LRU order.
+    // Reference: per set, the valid lines in LRU order (front = LRU).
+    // An invalid way is always the victim while one exists, so the
+    // model needs no way positions.
     struct RefLine
     {
         Addr tag;
@@ -146,7 +155,7 @@ TEST_P(TagArrayModelCheck, MatchesReferenceModel)
     std::map<std::uint64_t, std::vector<RefLine>> ref;
 
     Rng rng(ways * 1000 + 17);
-    for (int i = 0; i < 20000; ++i) {
+    for (int i = 0; i < 40000; ++i) {
         const Addr addr = rng.range(512) * lineBytes;
         const std::uint64_t set = (addr / lineBytes) % sets;
         const Addr tag = (addr / lineBytes) / sets;
@@ -154,46 +163,92 @@ TEST_P(TagArrayModelCheck, MatchesReferenceModel)
         auto found = std::find_if(
             lines.begin(), lines.end(),
             [&](const RefLine &l) { return l.tag == tag; });
+        const bool hit = found != lines.end();
 
-        TagResult r = t.peek(addr);
-        ASSERT_EQ(r.hit, found != lines.end())
+        const TagArray::Probe p = t.probe(addr);
+        const TagResult &r = p.result;
+        ASSERT_EQ(r.hit, hit)
             << "iteration " << i << " addr " << std::hex << addr;
-        if (r.hit) {
+        if (hit) {
+            ASSERT_TRUE(r.valid);
             ASSERT_EQ(r.dirty, found->dirty);
+            ASSERT_EQ(r.victimAddr, addr);
+        } else if (lines.size() < ways) {
+            ASSERT_FALSE(r.valid) << "iteration " << i;
+            ASSERT_FALSE(r.dirty) << "iteration " << i;
+            ASSERT_EQ(r.victimAddr, 0u) << "iteration " << i;
+        } else {
+            const RefLine &lru = lines.front();
+            ASSERT_TRUE(r.valid) << "iteration " << i;
+            ASSERT_EQ(r.dirty, lru.dirty) << "iteration " << i;
+            ASSERT_EQ(r.victimAddr, (lru.tag * sets + set) * lineBytes)
+                << "iteration " << i;
         }
+        ASSERT_EQ(t.peek(addr).hit, hit);
 
-        // Mirror a mixed workload: 1/3 install, 1/3 touch, 1/3 dirty.
-        const auto action = rng.range(3);
-        if (action == 0) {
-            t.install(addr, false);
-            if (found != lines.end()) {
-                RefLine l{tag, false};
-                lines.erase(found);
-                lines.push_back(l);
+        const bool via_handle = rng.chance(0.5);
+        const auto moveToMru = [&](RefLine l) {
+            lines.erase(found);
+            lines.push_back(l);
+        };
+        switch (rng.range(6)) {
+          case 0:
+          case 1: {
+            // Install (clean fill or dirty write-allocate).
+            const bool dirty = rng.chance(0.5);
+            if (via_handle)
+                t.install(addr, dirty, p);
+            else
+                t.install(addr, dirty);
+            if (hit) {
+                moveToMru({tag, dirty});
             } else {
                 if (lines.size() >= ways)
                     lines.erase(lines.begin());
-                lines.push_back({tag, false});
+                lines.push_back({tag, dirty});
             }
-        } else if (r.hit) {
-            if (action == 1) {
+            break;
+          }
+          case 2:
+            if (via_handle)
+                t.touch(p);
+            else
                 t.touch(addr);
-                RefLine l = *found;
-                lines.erase(found);
-                lines.push_back(l);
-            } else {
+            if (hit)
+                moveToMru(*found);
+            break;
+          case 3:
+            if (!hit)
+                break;
+            if (via_handle)
+                t.markDirty(p);
+            else
                 t.markDirty(addr);
-                RefLine l = *found;
-                l.dirty = true;
+            moveToMru({tag, true});
+            break;
+          case 4:
+            // Writeback completion: clears dirty, keeps LRU order.
+            t.markClean(addr);
+            if (hit)
+                found->dirty = false;
+            break;
+          default:
+            // Banshee's eviction path.
+            t.invalidate(addr);
+            if (hit)
                 lines.erase(found);
-                lines.push_back(l);
-            }
+            break;
         }
     }
+
+    std::uint64_t resident = 0;
+    for (const auto &[set, lines] : ref)
+        resident += lines.size();
+    EXPECT_EQ(t.validCount(), resident);
 }
 
 INSTANTIATE_TEST_SUITE_P(Ways, TagArrayModelCheck,
-                         ::testing::Values(1, 2, 4, 8, 16));
+                         ::testing::Values(1, 2, 4, 8, 16, 32));
 
 } // namespace
 } // namespace tsim
