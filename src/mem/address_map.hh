@@ -90,7 +90,7 @@ class AddressMap
         c.bank = static_cast<unsigned>(line & (_banks - 1));
         line >>= _bankShift;
         c.col = line & (_linesPerRow - 1);
-        c.row = (line >> _colShift) & (_rowsPerBank - 1);
+        c.row = line >> _colShift;
         return c;
     }
 
