@@ -20,6 +20,7 @@
  */
 
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -27,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/logging.hh"
 #include "system/system.hh"
 #include "trace/tdtz.hh"
 #include "trace/trace.hh"
@@ -92,20 +94,19 @@ main(int argc, char **argv)
     std::string out = "BENCH_replay.json";
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--ops") == 0 && i + 1 < argc) {
-            bc.opsPerCore = std::strtoull(argv[++i], nullptr, 10);
+            bc.opsPerCore = parseCount("--ops", argv[++i]);
         } else if (std::strcmp(argv[i], "--warmup") == 0 &&
                    i + 1 < argc) {
-            bc.warmupOpsPerCore =
-                std::strtoull(argv[++i], nullptr, 10);
+            bc.warmupOpsPerCore = parseCount("--warmup", argv[++i]);
         } else if (std::strcmp(argv[i], "--workload") == 0 &&
                    i + 1 < argc) {
             bc.workload = argv[++i];
         } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-            bc.seed = std::strtoull(argv[++i], nullptr, 10);
+            bc.seed = parseCount("--seed", argv[++i]);
         } else if (std::strcmp(argv[i], "--reps") == 0 &&
                    i + 1 < argc) {
             reps = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
+                parseCount("--reps", argv[++i], UINT_MAX));
         } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
             out = argv[++i];
         } else {

@@ -16,12 +16,13 @@
  * value, which the CI determinism gate checks with trace_tool diff.
  */
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "sim/logging.hh"
 #include "sim/sweep_runner.hh"
 #include "system/system.hh"
 
@@ -38,7 +39,7 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
             jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
+                parseCount("--jobs", argv[++i], UINT_MAX));
         } else if (std::strcmp(argv[i], "--trace") == 0 &&
                    i + 1 < argc) {
             trace_prefix = argv[++i];
@@ -49,7 +50,7 @@ main(int argc, char **argv)
     if (positional.size() > 0)
         wl_name = positional[0];
     if (positional.size() > 1)
-        ops = std::strtoull(positional[1].c_str(), nullptr, 10);
+        ops = parseCount("opsPerCore", positional[1].c_str());
 
     const WorkloadProfile &wl = findWorkload(wl_name);
 

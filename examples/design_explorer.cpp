@@ -26,35 +26,19 @@
  * sweeps stay byte-identical.
  */
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "sim/logging.hh"
 #include "sim/sweep_runner.hh"
 #include "system/system.hh"
 
 namespace
 {
-
-tsim::Design
-parseDesign(const std::string &s)
-{
-    using tsim::Design;
-    const Design all[] = {Design::CascadeLake, Design::Alloy,
-                          Design::Bear,        Design::Ndc,
-                          Design::Tdram,       Design::TdramNoProbe,
-                          Design::Ideal,       Design::NoCache,
-                          Design::TicToc,      Design::Banshee};
-    for (Design d : all) {
-        if (s == tsim::designName(d))
-            return d;
-    }
-    std::fprintf(stderr, "unknown design '%s'\n", s.c_str());
-    std::exit(1);
-}
 
 int
 runSweep(bool full, unsigned jobs, std::uint64_t ops,
@@ -132,9 +116,9 @@ main(int argc, char **argv)
             full = true;
         } else if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
             jobs = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
+                parseCount("--jobs", argv[++i], UINT_MAX));
         } else if (std::strcmp(argv[i], "--ops") == 0 && i + 1 < argc) {
-            ops = std::strtoull(argv[++i], nullptr, 10);
+            ops = parseCount("--ops", argv[++i]);
         } else if (std::strcmp(argv[i], "--trace") == 0 &&
                    i + 1 < argc) {
             trace_path = argv[++i];
@@ -161,7 +145,7 @@ main(int argc, char **argv)
     const std::string design =
         positional.size() > 1 ? positional[1] : "TDRAM";
     if (positional.size() > 2)
-        ops = std::strtoull(positional[2].c_str(), nullptr, 10);
+        ops = parseCount("opsPerCore", positional[2].c_str());
 
     SystemConfig cfg;
     cfg.design = parseDesign(design);

@@ -11,9 +11,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "sim/logging.hh"
 #include "system/system.hh"
 
 int
@@ -23,7 +23,7 @@ main(int argc, char **argv)
 
     const std::string suite = argc > 1 ? argv[1] : "NPB-C";
     const std::uint64_t ops =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 6000;
+        argc > 2 ? parseCount("opsPerCore", argv[2]) : 6000;
 
     std::printf("suite %s: CascadeLake vs TDRAM\n\n", suite.c_str());
     std::printf("%-9s %6s %7s | %9s %9s | %9s %9s | %8s\n",

@@ -143,25 +143,6 @@ parseOptions(int argc, char **argv, int first)
     return o;
 }
 
-Design
-parseDesign(const std::string &s)
-{
-    const Design all[] = {Design::CascadeLake, Design::Alloy,
-                          Design::Bear,        Design::Ndc,
-                          Design::Tdram,       Design::TdramNoProbe,
-                          Design::Ideal,       Design::NoCache,
-                          Design::TicToc,      Design::Banshee};
-    for (Design d : all) {
-        if (s == designName(d))
-            return d;
-    }
-    std::fprintf(stderr, "unknown design '%s'; one of:", s.c_str());
-    for (Design d : all)
-        std::fprintf(stderr, " %s", designName(d));
-    std::fprintf(stderr, "\n");
-    std::exit(1);
-}
-
 SystemConfig
 makeConfig(const CliOptions &o, Design d)
 {

@@ -46,22 +46,6 @@ makeDemoStream()
     return out;
 }
 
-tsim::Design
-parseDesign(const std::string &s)
-{
-    using tsim::Design;
-    const Design all[] = {Design::CascadeLake, Design::Alloy,
-                          Design::Bear,        Design::Ndc,
-                          Design::Tdram,       Design::TdramNoProbe,
-                          Design::Ideal,       Design::NoCache};
-    for (Design d : all) {
-        if (s == tsim::designName(d))
-            return d;
-    }
-    std::fprintf(stderr, "unknown design '%s'\n", s.c_str());
-    std::exit(1);
-}
-
 } // namespace
 
 int

@@ -1,6 +1,8 @@
 #include "dcache/dram_cache.hh"
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 
 namespace tsim
 {
@@ -21,6 +23,25 @@ designName(Design d)
       case Design::Banshee: return "Banshee";
       default: return "unknown";
     }
+}
+
+Design
+parseDesign(const std::string &name)
+{
+    const Design all[] = {Design::CascadeLake, Design::Alloy,
+                          Design::Bear,        Design::Ndc,
+                          Design::Tdram,       Design::TdramNoProbe,
+                          Design::Ideal,       Design::NoCache,
+                          Design::TicToc,      Design::Banshee};
+    for (Design d : all) {
+        if (name == designName(d))
+            return d;
+    }
+    std::fprintf(stderr, "unknown design '%s'; one of:", name.c_str());
+    for (Design d : all)
+        std::fprintf(stderr, " %s", designName(d));
+    std::fprintf(stderr, "\n");
+    std::exit(1);
 }
 
 DramCacheCtrl::DramCacheCtrl(EventQueue &eq, std::string name,

@@ -51,6 +51,13 @@ enum class Design : std::uint8_t
 
 const char *designName(Design d);
 
+/**
+ * The design that designName() spells @p name. An unknown name prints
+ * "unknown design '<name>'; one of: ..." with every valid name to
+ * stderr and exits 1, as parseCount() does for a bad count.
+ */
+Design parseDesign(const std::string &name);
+
 /** Configuration shared by every DRAM-cache design. */
 struct DramCacheConfig
 {

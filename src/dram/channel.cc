@@ -3,7 +3,8 @@
  * DRAM channel implementation: the incremental, allocation-free
  * FR-FCFS back-end. See channel.hh for the model and DESIGN.md §9 for
  * why the incremental scheduler is tick- and order-identical to the
- * reference full-scan one (kept under tests/legacy_channel.*).
+ * reference full-scan one it replaced; tests/channel_sched_test.cpp
+ * pins that reference's output as digests.
  */
 
 #include "dram/channel.hh"

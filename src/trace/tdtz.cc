@@ -8,6 +8,9 @@
 #include "trace/tdtz.hh"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -525,8 +528,18 @@ parseTextTrace(const std::string &path, std::vector<ReplayRecord> &out,
                     ": expected 'R|W <addr> [<size> [<delta_ns>]]'";
             return false;
         }
+        // Decimal, 0x hex or 0-prefixed octal, as strtoull base 0
+        // reads it, but without a sign, trailing junk or overflow.
         ReplayRecord r;
-        r.addr = std::strtoull(addr_str.c_str(), nullptr, 0);
+        char *end = nullptr;
+        errno = 0;
+        r.addr = std::strtoull(addr_str.c_str(), &end, 0);
+        if (!std::isdigit(static_cast<unsigned char>(addr_str[0])) ||
+            *end != '\0' || errno == ERANGE) {
+            error = path + ":" + std::to_string(line_no) +
+                    ": bad address '" + addr_str + "'";
+            return false;
+        }
         r.isWrite = kind == "W";
         std::uint64_t size = 0;
         if (ss >> size) {

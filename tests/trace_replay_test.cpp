@@ -249,6 +249,16 @@ TEST(Tdtz, ParsesTextTraces)
     }
     EXPECT_FALSE(parseTextTrace(path, recs, error));
     EXPECT_FALSE(error.empty());
+
+    // Junk, a sign, trailing junk and overflow are errors, not address 0.
+    for (const char *bad : {"xyz", "-1", "0x10g", "0x1ffffffffffffffff"}) {
+        {
+            std::ofstream out(path);
+            out << "R 0x40\nR " << bad << "\n";
+        }
+        EXPECT_FALSE(parseTextTrace(path, recs, error)) << bad;
+        EXPECT_EQ(error, path + ":2: bad address '" + bad + "'");
+    }
 }
 
 /** Capture a synthetic run's .tdt, project, and sanity-check. */

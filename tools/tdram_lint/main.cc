@@ -6,7 +6,7 @@
  *
  * With no FILE arguments, lints every .hh/.cc/.cpp under the root's
  * src/, bench/, examples/ and tools/ trees (tests/ is exempt: it
- * holds the frozen legacy oracles and the lint fixtures themselves).
+ * holds the lint fixtures themselves).
  * Paths are reported repo-relative. Exit 0 when clean, 1 when any
  * unsuppressed finding remains, 2 on usage/IO errors.
  */

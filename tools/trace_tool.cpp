@@ -32,6 +32,8 @@
  *       and the frame index.
  */
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -40,6 +42,7 @@
 #include <vector>
 
 #include "check/offline.hh"
+#include "sim/logging.hh"
 #include "trace/tdtz.hh"
 #include "trace/trace.hh"
 #include "trace/trace_analysis.hh"
@@ -140,7 +143,7 @@ cmdDump(int argc, char **argv)
     std::uint64_t limit = ~std::uint64_t{0};
     for (int i = 3; i < argc; ++i) {
         if (std::strcmp(argv[i], "--limit") == 0 && i + 1 < argc)
-            limit = std::strtoull(argv[++i], nullptr, 10);
+            limit = parseCount("--limit", argv[++i]);
         else
             usage();
     }
@@ -174,9 +177,9 @@ cmdCheck(int argc, char **argv)
         if (i + 1 >= argc)
             usage();
         const char *value = argv[++i];
-        const auto num = [value] {
+        const auto num = [&name, value] {
             return static_cast<unsigned>(
-                std::strtoul(value, nullptr, 10));
+                parseCount(name.c_str(), value, UINT_MAX));
         };
         if (name == "--device") {
             opts.device = value;
@@ -290,7 +293,7 @@ cmdConvert(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--frame-records") == 0 &&
                    i + 1 < argc) {
             frame_records = static_cast<std::uint32_t>(
-                std::strtoul(argv[++i], nullptr, 10));
+                parseCount("--frame-records", argv[++i], UINT32_MAX));
             if (frame_records == 0) {
                 std::fprintf(stderr,
                              "trace_tool: --frame-records must be "
