@@ -98,6 +98,15 @@ class SramCache
     Scalar writebacks;
     /// @}
 
+    /** Zero the statistics (the tag state is kept). */
+    void
+    resetStats()
+    {
+        hits.reset();
+        misses.reset();
+        writebacks.reset();
+    }
+
     void
     regStats(StatGroup &g) const
     {

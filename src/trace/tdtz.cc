@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -519,13 +521,18 @@ parseTextTrace(const std::string &path, std::vector<ReplayRecord> &out,
         ++line_no;
         if (line.empty() || line[0] == '#')
             continue;
+        // A failed extraction leaves every later token empty.
         std::istringstream ss(line);
         std::string kind;
         std::string addr_str;
-        ss >> kind >> addr_str;
-        if (ss.fail() || (kind != "R" && kind != "W")) {
-            error = path + ":" + std::to_string(line_no) +
-                    ": expected 'R|W <addr> [<size> [<delta_ns>]]'";
+        std::string size_str;
+        std::string delta_str;
+        std::string junk;
+        ss >> kind >> addr_str >> size_str >> delta_str >> junk;
+        const std::string where =
+            path + ":" + std::to_string(line_no) + ": ";
+        if (addr_str.empty() || (kind != "R" && kind != "W")) {
+            error = where + "expected 'R|W <addr> [<size> [<delta_ns>]]'";
             return false;
         }
         // Decimal, 0x hex or 0-prefixed octal, as strtoull base 0
@@ -536,28 +543,40 @@ parseTextTrace(const std::string &path, std::vector<ReplayRecord> &out,
         r.addr = std::strtoull(addr_str.c_str(), &end, 0);
         if (!std::isdigit(static_cast<unsigned char>(addr_str[0])) ||
             *end != '\0' || errno == ERANGE) {
-            error = path + ":" + std::to_string(line_no) +
-                    ": bad address '" + addr_str + "'";
+            error = where + "bad address '" + addr_str + "'";
             return false;
         }
         r.isWrite = kind == "W";
-        std::uint64_t size = 0;
-        if (ss >> size) {
-            if (size == 0) {
-                error = path + ":" + std::to_string(line_no) +
-                        ": size must be >= 1";
+        // Size: decimal bytes in [1, UINT32_MAX]. Delta: finite,
+        // non-negative nanoseconds whose tick count fits a Tick. Both
+        // must be consumed whole.
+        if (!size_str.empty()) {
+            const char *last = size_str.data() + size_str.size();
+            std::uint64_t size = 0;
+            const auto [ptr, ec] =
+                std::from_chars(size_str.data(), last, size);
+            if (ec != std::errc{} || ptr != last || size == 0 ||
+                size > UINT32_MAX) {
+                error = where + "bad size '" + size_str + "'";
                 return false;
             }
             r.size = static_cast<std::uint32_t>(size);
+        }
+        if (!delta_str.empty()) {
+            const char *last = delta_str.data() + delta_str.size();
             double delta_ns = 0;
-            if (ss >> delta_ns) {
-                if (delta_ns < 0) {
-                    error = path + ":" + std::to_string(line_no) +
-                            ": delta_ns must be >= 0";
-                    return false;
-                }
-                r.delta = nsToTicks(delta_ns);
+            const auto [ptr, ec] =
+                std::from_chars(delta_str.data(), last, delta_ns);
+            if (ec != std::errc{} || ptr != last ||
+                !(delta_ns >= 0 && delta_ns * tickPerNs < 0x1p64)) {
+                error = where + "bad delta '" + delta_str + "'";
+                return false;
             }
+            r.delta = nsToTicks(delta_ns);
+        }
+        if (!junk.empty()) {
+            error = where + "trailing junk '" + junk + "'";
+            return false;
         }
         out.push_back(r);
     }

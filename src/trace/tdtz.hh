@@ -153,8 +153,8 @@ static_assert(sizeof(TdtzFooterTail) == 16,
 /**
  * Nominal bytes of one record in a flat (uncompressed, unpacked)
  * encoding: 8 addr + 8 delta + 4 size + 1 flags, aligned to 24. The
- * reference point for the compression-ratio metric bench/micro_replay
- * reports and tests/check_replay_bench.sh gates on.
+ * reference point for the container's compression ratio, which
+ * Tdtz.ProjectsDemandsFromEventTrace requires to be at least 2.
  */
 constexpr std::uint64_t tdtzFlatRecordBytes = 24;
 
@@ -274,7 +274,7 @@ class TdtzReader
  * Project the demand stream out of a loaded .tdt event trace: every
  * DemandStart record (acceptance order = seq order) becomes one
  * ReplayRecord with the acceptance-tick deltas. Returns the records;
- * used by `trace_tool convert` and bench/micro_replay.
+ * used by `trace_tool convert`.
  */
 std::vector<ReplayRecord> projectDemands(const TraceFile &trace);
 
@@ -285,9 +285,10 @@ std::vector<ReplayRecord> projectDemands(const TraceFile &trace);
  *     R <addr> [<size> [<delta_ns>]]
  *     W <addr> [<size> [<delta_ns>]]
  *
- * addr accepts 0x-hex or decimal; size defaults to one line (64 B);
- * delta_ns (fractional ok) defaults to 0. Returns false with @p error
- * set on malformed input.
+ * addr accepts 0x-hex or decimal; size (decimal bytes, at most
+ * UINT32_MAX) defaults to one line (64 B); delta_ns (fractional ok)
+ * defaults to 0. Returns false with @p error set on malformed input,
+ * including a fifth token.
  */
 bool parseTextTrace(const std::string &path,
                     std::vector<ReplayRecord> &out, std::string &error);

@@ -275,6 +275,9 @@ CoreEngine::warmup(std::uint64_t ops_per_core)
                 _dcache.warmAccess(line, false);
         }
     }
+    for (auto &l1 : _l1s)
+        l1->resetStats();
+    _llc.resetStats();
 }
 
 void

@@ -72,7 +72,9 @@ class CoreEngine : public RequestEngine
     /**
      * Warm the functional state (L1s, LLC, DRAM-cache tags) with
      * @p ops_per_core operations per core, consuming no simulated
-     * time. Mirrors the paper's warmed-up checkpoints (§IV-B).
+     * time. Mirrors the paper's warmed-up checkpoints (§IV-B). The
+     * L1 and LLC statistics restart from zero afterwards, so they
+     * count the measured phase only.
      */
     void warmup(std::uint64_t ops_per_core) override;
 

@@ -8,10 +8,11 @@
  * banks, one DDR5 main-memory channel — warms it up, runs 3000 ops per
  * core to completion, and folds the finish tick plus the full stats
  * dump of the controller, main memory and engine into one FNV-1a 64
- * checksum. The checksum must equal the constant recorded from the
- * pre-rewrite front end (shared_ptr transactions, std::function
- * callbacks, node-based MSHR maps), which the allocation-free front
- * end matched byte for byte until that copy was retired.
+ * checksum. The finish ticks equal those of the pre-rewrite front end
+ * (shared_ptr transactions, std::function callbacks, node-based MSHR
+ * maps), which the allocation-free front end matched byte for byte
+ * until that copy was retired. The LLC lines of the dump count the
+ * measured phase only; warm-up leaves them at zero.
  *
  * The measured region (start() through the last in-flight demand)
  * must also make no InlineCallable heap fallback: every capture on the
@@ -123,16 +124,15 @@ TEST_P(FrontEndDigest, MatchesPinnedChecksum)
         << stats;
 }
 
-// Finish ticks and checksums recorded from the reference front end at
-// seed 1.
+// Finish ticks and checksums at seed 1.
 INSTANTIATE_TEST_SUITE_P(
     Designs, FrontEndDigest,
     ::testing::Values(
         FrontEndCase{"cascadelake", Design::CascadeLake, 22480000,
-                     0x9554552864301e5cULL},
-        FrontEndCase{"ndc", Design::Ndc, 22464000, 0xfa1d0173f3e18e27ULL},
+                     0xbe1286e06e100802ULL},
+        FrontEndCase{"ndc", Design::Ndc, 22464000, 0xec80c8ea323e04bbULL},
         FrontEndCase{"tdram", Design::Tdram, 22365750,
-                     0x67c289124f4cc52eULL}),
+                     0x6bc0ecf0e3bfdaaaULL}),
     [](const ::testing::TestParamInfo<FrontEndCase> &pi) {
         return std::string(pi.param.name);
     });

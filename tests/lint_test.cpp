@@ -371,7 +371,7 @@ TEST(LintPaths, OnlyCppSourcesAreLintable)
 {
     EXPECT_TRUE(lintablePath("src/dram/channel.hh"));
     EXPECT_TRUE(lintablePath("src/dram/channel.cc"));
-    EXPECT_TRUE(lintablePath("bench/micro_replay.cpp"));
+    EXPECT_TRUE(lintablePath("bench/tdram_repro.cpp"));
     EXPECT_FALSE(lintablePath("tools/run_tdram_lint.sh"));
     EXPECT_FALSE(lintablePath("README.md"));
 }

@@ -4,9 +4,10 @@
 # Four checks, all byte-exact:
 #  1. Same-config repeatability: the integration config run twice must
 #     produce identical stats dumps, CSV rows, and .tdt event traces.
-#  2. Serial vs parallel: a capacity_sweep grid with --jobs 1 and
-#     --jobs 4 must produce identical CSV and per-job traces
-#     (trace_tool diff reports the first divergent record otherwise).
+#  2. Serial vs parallel: tdram_repro fig01 (8 runs on the
+#     SweepRunner pool) with --jobs 1 and --jobs 4 must print identical
+#     stdout and write identical per-job traces (trace_tool diff
+#     reports the first divergent record otherwise).
 #  3. Serial vs parallel reproduction: every figure of tdram_repro
 #     with --jobs 1 and --jobs 4 must print identical stdout.
 #  4. Canary: a deliberately perturbed copy of a trace MUST be flagged
@@ -23,11 +24,10 @@ cd "$(dirname "$0")/.."
 
 BUILD=${1:-build}
 CLI="$BUILD/examples/tdram_cli"
-SWEEP="$BUILD/examples/capacity_sweep"
 TOOL="$BUILD/tools/trace_tool"
 REPRO="$BUILD/bench/tdram_repro"
 
-for bin in "$CLI" "$SWEEP" "$TOOL" "$REPRO"; do
+for bin in "$CLI" "$TOOL" "$REPRO"; do
     if [ ! -x "$bin" ]; then
         echo "missing $bin - build the project first" >&2
         exit 2
@@ -51,11 +51,13 @@ cmp "$WORK/run1.out" "$WORK/run2.out" || {
     exit 1
 }
 
-echo "=== [2/4] serial vs parallel sweep ==="
-"$SWEEP" is.C 3000 --jobs 1 --trace "$WORK/serial" > "$WORK/serial.csv"
-"$SWEEP" is.C 3000 --jobs 4 --trace "$WORK/par" > "$WORK/par.csv"
-cmp "$WORK/serial.csv" "$WORK/par.csv" || {
-    echo "FAIL: sweep CSV differs between --jobs 1 and --jobs 4"
+echo "=== [2/4] serial vs parallel sweep (tdram_repro fig01) ==="
+"$REPRO" fig01 --ops 1500 --warmup 20000 --jobs 1 \
+    --trace "$WORK/serial" > "$WORK/serial.out"
+"$REPRO" fig01 --ops 1500 --warmup 20000 --jobs 4 \
+    --trace "$WORK/par" > "$WORK/par.out"
+cmp "$WORK/serial.out" "$WORK/par.out" || {
+    echo "FAIL: sweep output differs between --jobs 1 and --jobs 4"
     exit 1
 }
 njobs=0

@@ -9,7 +9,8 @@
 #   TSan         : SweepRunner tests, the channel stress and
 #                  old-vs-new differential schedulers, the
 #                  conformance matrix, and a 4-worker end-to-end
-#                  capacity_sweep — SweepRunner is the one part of the
+#                  tdram_repro fig01 (8 runs, each writing a .tdt
+#                  trace) — SweepRunner is the one part of the
 #                  simulator that spawns threads. Each simulation is
 #                  single-threaded, and a full TSan run of the whole
 #                  suite takes far longer for no extra coverage.
@@ -29,7 +30,7 @@ for san in "${sanitizers[@]}"; do
     cmake --preset "$san" >/dev/null
     cmake --build "build-$san" --target tdram_tests -j "$jobs"
     [ "$san" = tsan ] &&
-        cmake --build "build-$san" --target capacity_sweep -j "$jobs"
+        cmake --build "build-$san" --target tdram_repro -j "$jobs"
 
     echo "=== [$san] run ==="
     case "$san" in
@@ -37,9 +38,12 @@ for san in "${sanitizers[@]}"; do
             TSAN_OPTIONS="halt_on_error=1" \
                 "./build-$san/tests/tdram_tests" \
                 --gtest_filter='SweepRunner*:*ChannelStress*:*ChannelSched*:*Conformance*'
+            tsan_work=$(mktemp -d)
             TSAN_OPTIONS="halt_on_error=1" \
-                "./build-$san/examples/capacity_sweep" is.C 1500 \
-                --jobs 4 > /dev/null
+                "./build-$san/bench/tdram_repro" fig01 --ops 1500 \
+                --warmup 20000 --jobs 4 --trace "$tsan_work/tsan" \
+                > /dev/null
+            rm -rf "$tsan_work"
             ;;
         asan)
             ASAN_OPTIONS="detect_leaks=1" \

@@ -38,7 +38,9 @@ TEST(Geomean, Basics)
 
 TEST(System, ReportFieldsConsistent)
 {
-    SimReport r = runOne(tinyCfg(Design::Tdram), findWorkload("is.C"));
+    const SystemConfig cfg = tinyCfg(Design::Tdram);
+    System sys(cfg, findWorkload("is.C"));
+    const SimReport r = sys.run();
     EXPECT_EQ(r.design, "TDRAM");
     EXPECT_EQ(r.workload, "is.C");
     EXPECT_FALSE(r.highMiss);
@@ -50,6 +52,23 @@ TEST(System, ReportFieldsConsistent)
     EXPECT_GE(r.unusefulFrac, 0.0);
     EXPECT_LE(r.unusefulFrac, 1.0);
     EXPECT_GT(r.energy.totalJ(), 0.0);
+
+    // The SRAM stats count the measured phase only: every L1 access
+    // is a measured op, every L1 miss or writeback is one LLC access,
+    // and every LLC writeback is one write demand.
+    CoreEngine &core = *sys.coreEngine();
+    double l1_accesses = 0;
+    double l1_to_llc = 0;
+    for (unsigned c = 0; c < cfg.cores.cores; ++c) {
+        const SramCache &l1 = core.l1(c);
+        l1_accesses += l1.hits.value() + l1.misses.value();
+        l1_to_llc += l1.misses.value() + l1.writebacks.value();
+    }
+    const SramCache &llc = core.llc();
+    EXPECT_EQ(l1_accesses,
+              static_cast<double>(cfg.cores.cores * cfg.cores.opsPerCore));
+    EXPECT_EQ(l1_to_llc, llc.hits.value() + llc.misses.value());
+    EXPECT_EQ(llc.writebacks.value(), core.demandWritesIssued.value());
 }
 
 TEST(System, PredictorAccuracyAbsentWithoutPredictor)

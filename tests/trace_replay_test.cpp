@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/rng.hh"
@@ -232,16 +235,18 @@ TEST(Tdtz, ParsesTextTraces)
             << "W 4096 128\n"
             << "R 0x2040 64 2.5\n"
             << "\n"
-            << "W 0 64 10\n";
+            << "W 0 64 10\n"
+            << "R 0x40 4294967295 0\n";
     }
     std::vector<ReplayRecord> recs;
     std::string error;
     ASSERT_TRUE(parseTextTrace(path, recs, error)) << error;
-    ASSERT_EQ(recs.size(), 4u);
+    ASSERT_EQ(recs.size(), 5u);
     EXPECT_EQ(recs[0], (ReplayRecord{0x1000, 64, false, 0}));
     EXPECT_EQ(recs[1], (ReplayRecord{4096, 128, true, 0}));
     EXPECT_EQ(recs[2], (ReplayRecord{0x2040, 64, false, nsToTicks(2.5)}));
     EXPECT_EQ(recs[3], (ReplayRecord{0, 64, true, nsToTicks(10.0)}));
+    EXPECT_EQ(recs[4], (ReplayRecord{0x40, UINT32_MAX, false, 0}));
 
     {
         std::ofstream out(path);
@@ -250,14 +255,30 @@ TEST(Tdtz, ParsesTextTraces)
     EXPECT_FALSE(parseTextTrace(path, recs, error));
     EXPECT_FALSE(error.empty());
 
-    // Junk, a sign, trailing junk and overflow are errors, not address 0.
-    for (const char *bad : {"xyz", "-1", "0x10g", "0x1ffffffffffffffff"}) {
+    // Junk, a sign, trailing junk and overflow are errors, not address
+    // 0, a wrapped size or a dropped delta; so is a fifth token.
+    const std::pair<std::string, std::string> bad_lines[] = {
+        {"R xyz", "bad address 'xyz'"},
+        {"R -1", "bad address '-1'"},
+        {"R 0x10g", "bad address '0x10g'"},
+        {"R 0x1ffffffffffffffff", "bad address '0x1ffffffffffffffff'"},
+        {"R 0x40 -5", "bad size '-5'"},
+        {"R 0x40 0", "bad size '0'"},
+        {"W 0x80 64x 3", "bad size '64x'"},
+        {"R 0x40 4294967296", "bad size '4294967296'"},
+        {"R 0x40 64 -1", "bad delta '-1'"},
+        {"R 0x40 64 2.5ns", "bad delta '2.5ns'"},
+        {"R 0x40 64 nan", "bad delta 'nan'"},
+        {"R 0x40 64 1e300", "bad delta '1e300'"},
+        {"R 0x40 64 10 extra", "trailing junk 'extra'"},
+    };
+    for (const auto &[bad, message] : bad_lines) {
         {
             std::ofstream out(path);
-            out << "R 0x40\nR " << bad << "\n";
+            out << "R 0x40\n" << bad << "\n";
         }
         EXPECT_FALSE(parseTextTrace(path, recs, error)) << bad;
-        EXPECT_EQ(error, path + ":2: bad address '" + bad + "'");
+        EXPECT_EQ(error, path + ":2: " + message);
     }
 }
 
@@ -279,6 +300,27 @@ TEST(Tdtz, ProjectsDemandsFromEventTrace)
     for (const ReplayRecord &r : recs)
         writes += r.isWrite;
     EXPECT_EQ(writes, rep.demandWrites);
+
+    // Packed with either codec, the stream decodes bit-equal at no
+    // more than half the flat encoding's size.
+    const std::string packed = tmpPath("proj.tdtz");
+    for (TdtzCodec codec : {TdtzCodec::Varint, TdtzCodec::Zstd}) {
+        if (codec == TdtzCodec::Zstd && !tdtzZstdAvailable())
+            continue;
+        writeStream(packed, recs, codec);
+        EXPECT_EQ(readAll(packed), recs);
+        EXPECT_LE(2 * std::filesystem::file_size(packed),
+                  recs.size() * tdtzFlatRecordBytes)
+            << "codec " << static_cast<int>(codec);
+    }
+
+    // Replayed through the same system shape, every one-line record
+    // is one demand.
+    SystemConfig replay_cfg = cfg;
+    replay_cfg.tracePath.clear();
+    replay_cfg.replay.path = packed;
+    const SimReport replayed = runOne(replay_cfg, findWorkload("is.C"));
+    EXPECT_EQ(replayed.demandReads + replayed.demandWrites, recs.size());
 }
 
 SimReport

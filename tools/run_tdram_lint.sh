@@ -31,9 +31,9 @@ command -v c++ >/dev/null 2>&1 || command -v g++ >/dev/null 2>&1 || {
 mkdir -p "$BUILD_DIR"
 BUILD_LOG="$BUILD_DIR/tdram-lint-build.log"
 
-# The linter is dependency-free (no GTest/benchmark/zstd);
-# TDRAM_LINT_ONLY configures just its targets, so this works on
-# runners without the simulator's test/bench packages installed.
+# The linter is dependency-free (no GTest/zstd); TDRAM_LINT_ONLY
+# configures just its targets, so this works on runners without the
+# simulator's test packages installed.
 if ! cmake -B "$BUILD_DIR" -S "$SRC_DIR" \
         -DCMAKE_BUILD_TYPE=Release \
         -DTDRAM_LINT_ONLY=ON >"$BUILD_LOG" 2>&1; then
