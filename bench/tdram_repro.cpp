@@ -16,9 +16,9 @@
  * figure prints its table alone. Output is byte-identical for any
  * --jobs; the host-throughput summary goes to stderr.
  *
- * --full runs all 28 workloads (and 40000 ops/core) instead of the
- * 8-workload quick set; --trace writes one .tdt per run, named by
- * SweepRunner's applyTracePrefix.
+ * --full runs all 28 workloads (and 40000 ops/core unless --ops is
+ * given) instead of the 8-workload quick set; --trace writes one .tdt
+ * per run, named by SweepRunner's applyTracePrefix.
  */
 
 #include <algorithm>
@@ -1221,15 +1221,16 @@ int
 main(int argc, char **argv)
 {
     Options o;
+    bool opsGiven = false;
     std::vector<const Figure *> figures;
     for (int i = 1; i < argc; ++i) {
         const char *a = argv[i];
         const bool has_value = i + 1 < argc;
         if (std::strcmp(a, "--full") == 0) {
             o.full = true;
-            o.opsPerCore = 40000;
         } else if (std::strcmp(a, "--ops") == 0 && has_value) {
             o.opsPerCore = parseCount(a, argv[++i]);
+            opsGiven = true;
         } else if (std::strcmp(a, "--warmup") == 0 && has_value) {
             o.warmupOpsPerCore = parseCount(a, argv[++i]);
         } else if (std::strcmp(a, "--seed") == 0 && has_value) {
@@ -1246,6 +1247,8 @@ main(int argc, char **argv)
             figures.push_back(findFigure(a));
         }
     }
+    if (o.full && !opsGiven)
+        o.opsPerCore = 40000;
     if (figures.empty())
         for (const Figure &f : kFigures)
             figures.push_back(&f);

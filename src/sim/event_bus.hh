@@ -1,12 +1,9 @@
 /**
  * @file
- * Unified compile-time event bus (DESIGN.md §13).
+ * Unified event bus (DESIGN.md §13).
  *
  * Every protocol-visible occurrence in the channel scheduler and the
- * DRAM-cache front-end used to be announced three times: a
- * TSIM_TRACE_EVENT macro, a TSIM_CHECK_EVENT macro with the same
- * argument list retyped, and a handful of inline statistics updates.
- * The bus collapses the three into one emission:
+ * DRAM-cache front-end is announced once:
  *
  *     emit(*this, ActRdIssuedEv{.tick = now, .addr = req.addr, ...});
  *
@@ -16,27 +13,23 @@
  * Stats-only occurrences set `static constexpr bool traced = false`
  * and skip the payload entirely.
  *
- * Delivery fans out over a compile-time subscriber list. Each
- * subscriber carries its own `enabled` constant wired to the existing
- * TDRAM_TRACE / TDRAM_CHECK gates plus the new TDRAM_STATS gate, so
- * each consumer compiles out independently — `if constexpr` discards
- * the whole delivery including argument use, which the nm gate tests
- * (tests/check_trace_gate.sh, tests/check_protocol_gate.sh,
- * tests/check_stats_gate.sh) assert on the compiled object.
+ * emit() applies the event's stats, then records it into the owner's
+ * TraceBuffer, then feeds it to the owner's ProtocolChecker. Tracing
+ * and checking are chosen per run: System sets or leaves null the
+ * owner's `traceBuf` (SystemConfig::tracePath) and `checker`
+ * (SystemConfig::checkProtocol), so an unused consumer costs one
+ * null test. The order is fixed so floating-point accumulation per
+ * site is deterministic and golden outputs stay byte-identical.
  *
- * The owner is duck-typed: trace delivery needs a `traceBuf` member
- * (TraceBuffer*), check delivery needs `checker` (ProtocolChecker*)
- * and `checkChannel`, stats delivery needs whatever the event's
- * stats() method touches. Delivery order is stats, then trace, then
- * check — fixed so floating-point accumulation order per site is
- * deterministic and golden outputs stay byte-identical.
+ * The owner is duck-typed: a traced event needs `traceBuf`
+ * (TraceBuffer*), `checker` (ProtocolChecker*) and `checkChannel`
+ * members; stats need whatever the event's stats() method touches.
  */
 
 #ifndef TSIM_SIM_EVENT_BUS_HH
 #define TSIM_SIM_EVENT_BUS_HH
 
 #include "check/check.hh"
-#include "stats/stats.hh"
 #include "trace/trace.hh"
 
 namespace tsim
@@ -53,92 +46,24 @@ eventTraced()
         return true;
 }
 
-/** Applies the event's stats() updates to the owner. */
-struct StatsSubscriber
-{
-    static constexpr bool enabled = statsCompiledIn();
-
-    template <typename Owner, typename Ev>
-    static void
-    deliver(Owner &owner, const Ev &ev)
-    {
-        if constexpr (requires { ev.stats(owner); })
-            ev.stats(owner);
-    }
-};
-
-/** Records the event into the owner's TraceBuffer (if attached). */
-struct TraceSubscriber
-{
-    static constexpr bool enabled = traceCompiledIn();
-
-    template <typename Owner, typename Ev>
-    static void
-    deliver(Owner &owner, const Ev &ev)
-    {
-        if constexpr (eventTraced<Ev>()) {
-            if (owner.traceBuf) {
-                owner.traceBuf->record(Ev::kind, ev.tick, ev.addr,
-                                       ev.bank, ev.aux, ev.extra);
-            }
-        }
-    }
-};
-
-/** Feeds the event to the owner's inline ProtocolChecker (if any). */
-struct CheckSubscriber
-{
-    static constexpr bool enabled = checkCompiledIn();
-
-    template <typename Owner, typename Ev>
-    static void
-    deliver(Owner &owner, const Ev &ev)
-    {
-        if constexpr (eventTraced<Ev>()) {
-            if (owner.checker) {
-                owner.checker->onEvent(owner.checkChannel, Ev::kind,
-                                       ev.tick, ev.addr, ev.bank,
-                                       ev.aux, ev.extra);
-            }
-        }
-    }
-};
-
-/**
- * Compile-time list of subscribers: dispatch() folds over them in
- * order, discarding disabled ones before instantiation so no symbol
- * of a gated-off consumer survives into the object file.
- */
-template <typename... Subs>
-struct SubscriberList
-{
-    template <typename Owner, typename Ev>
-    static void
-    dispatch(Owner &owner, const Ev &ev)
-    {
-        (deliverOne<Subs>(owner, ev), ...);
-    }
-
-  private:
-    template <typename Sub, typename Owner, typename Ev>
-    static void
-    deliverOne(Owner &owner, const Ev &ev)
-    {
-        if constexpr (Sub::enabled)
-            Sub::deliver(owner, ev);
-    }
-};
-
-/** The production fan-out: stats, then trace, then check. */
-using BusSubscribers =
-    SubscriberList<StatsSubscriber, TraceSubscriber, CheckSubscriber>;
-
-/** Emit one event from @p owner to every compiled-in subscriber. */
+/** Emit one event from @p owner: stats, then trace, then check. */
 template <typename Ev, typename Owner>
 inline void
 emit(Owner &owner, const Ev &ev)
 {
-    BusSubscribers::dispatch(owner, ev);
+    if constexpr (requires { ev.stats(owner); })
+        ev.stats(owner);
+    if constexpr (eventTraced<Ev>()) {
+        if (owner.traceBuf) {
+            owner.traceBuf->record(Ev::kind, ev.tick, ev.addr, ev.bank,
+                                   ev.aux, ev.extra);
+        }
+        if (owner.checker) {
+            owner.checker->onEvent(owner.checkChannel, Ev::kind,
+                                   ev.tick, ev.addr, ev.bank, ev.aux,
+                                   ev.extra);
+        }
+    }
 }
 
 } // namespace tsim

@@ -19,27 +19,11 @@
 #include <string>
 #include <vector>
 
-/**
- * Compile-time gate for hot-path statistics, mirroring TDRAM_TRACE
- * and TDRAM_CHECK. With TDRAM_STATS=0 the event bus drops its stats
- * subscriber and FlushBuffer::push skips its occupancy sampling, so
- * no Histogram::sample call survives in the scheduler's object file
- * (tests/check_stats_gate.sh asserts this via the out-of-line
- * overflow-bucket symbol). End-of-run dump code is unaffected.
- */
-#ifndef TDRAM_STATS
-#define TDRAM_STATS 1
-#endif
-
 namespace tsim
 {
 
-/** True when hot-path stats updates are compiled in (TDRAM_STATS=1). */
-constexpr bool
-statsCompiledIn()
-{
-    return TDRAM_STATS != 0;
-}
+/** Always true; only perfbench's harness still reads it. */
+constexpr bool statsCompiledIn() { return true; }
 
 /** A simple monotonically updated counter / value. */
 class Scalar
@@ -167,11 +151,7 @@ class Histogram
     }
 
   private:
-    /**
-     * Out-of-line clamp into the overflow bucket. Kept in stats.cc so
-     * every compiled-in sample() site leaves a nameable symbol
-     * reference — the anchor tests/check_stats_gate.sh greps for.
-     */
+    /** Out-of-line clamp into the overflow bucket (the rare case). */
     void sampleOverflow();
 
     double _width;

@@ -72,7 +72,7 @@ System::System(const SystemConfig &cfg, const WorkloadProfile &workload)
             cfg.seed);
     }
 
-    if (!cfg.tracePath.empty() && traceCompiledIn()) {
+    if (!cfg.tracePath.empty()) {
         // Buffer layout: dcache channels, then mm channels, then one
         // controller-level buffer for demand start/done events.
         const unsigned dc = _dcache->numChannels();
@@ -85,7 +85,7 @@ System::System(const SystemConfig &cfg, const WorkloadProfile &workload)
         _dcache->traceBuf = &_tracer->buffer(dc + mm);
     }
 
-    if (cfg.checkProtocol && checkCompiledIn()) {
+    if (cfg.checkProtocol) {
         // Checker channel ids mirror the tracer buffer layout: dcache
         // channels, then mm channels, then the demand-only buffer, so
         // inline and offline audits of one run agree index-for-index.

@@ -65,7 +65,7 @@ struct SystemConfig
 
     /**
      * Run the inline protocol checker (src/check) on every channel
-     * plus the demand front-end. No-op in -DTDRAM_CHECK=0 builds.
+     * plus the demand front-end.
      */
     bool checkProtocol = false;
 
@@ -134,7 +134,7 @@ struct SimReport
 
     /**
      * Inline protocol-checker results (checkProtocol runs only).
-     * checkEvents is 0 when the checker was off or compiled out.
+     * checkEvents is 0 when the checker was off.
      */
     std::uint64_t checkEvents = 0;
     std::uint64_t checkViolations = 0;

@@ -71,12 +71,10 @@ class FlushBuffer
             return false;
         }
         _q.push_back(victim);
-#if TDRAM_STATS
         const std::uint64_t occ = _q.size() + _inFlight;
         occupancy.sample(static_cast<double>(occ));
         maxOccupancy = std::max<std::uint64_t>(
             static_cast<std::uint64_t>(maxOccupancy.value()), occ);
-#endif
         return true;
     }
 

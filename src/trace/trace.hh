@@ -23,9 +23,9 @@
  *    byte-comparable across runs: serial and `--jobs N` sweeps must
  *    produce identical `.tdt` files (CI gates on this).
  *
- * Compile-time gate: build with -DTDRAM_TRACE=0 to compile every
- * hook call site out entirely (the subsystem itself still builds, so
- * tools keep working on existing traces). The default is 1.
+ * Tracing is chosen per run (SystemConfig::tracePath): without it the
+ * components' TraceBuffer pointers stay null and each hook site costs
+ * one null test (src/sim/event_bus.hh).
  */
 
 #ifndef TSIM_TRACE_TRACE_HH
@@ -40,35 +40,11 @@
 
 #include "sim/ticks.hh"
 
-#ifndef TDRAM_TRACE
-#define TDRAM_TRACE 1
-#endif
-
-/**
- * Hook wrapper used at every emission site. With TDRAM_TRACE=0 the
- * whole call site (including the null check and argument evaluation)
- * compiles away; tests/check_trace_gate.sh asserts this via a symbol
- * check on the compiled object.
- */
-#if TDRAM_TRACE
-#define TSIM_TRACE_EVENT(buf, ...)                                    \
-    do {                                                              \
-        if (buf)                                                      \
-            (buf)->record(__VA_ARGS__);                               \
-    } while (0)
-#else
-#define TSIM_TRACE_EVENT(buf, ...) ((void)0)
-#endif
-
 namespace tsim
 {
 
-/** True when hook call sites are compiled in (TDRAM_TRACE=1). */
-constexpr bool
-traceCompiledIn()
-{
-    return TDRAM_TRACE != 0;
-}
+/** Always true; only perfbench's harness still reads it. */
+constexpr bool traceCompiledIn() { return true; }
 
 /** Traced event kinds. Values are part of the .tdt format. */
 enum class TraceKind : std::uint8_t

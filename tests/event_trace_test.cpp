@@ -329,14 +329,6 @@ TEST(TraceDiff, ReportsFirstDivergenceWithContext)
               std::string::npos);
 }
 
-TEST(TraceGate, HooksCompiledInThisBuild)
-{
-    // The library is always built with tracing on; the TDRAM_TRACE=0
-    // configuration is covered by tests/check_trace_gate.sh, which
-    // compiles channel.cc both ways and checks emitted symbols.
-    EXPECT_TRUE(traceCompiledIn());
-}
-
 SystemConfig
 tracedCfg(const std::string &path)
 {

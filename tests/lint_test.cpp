@@ -202,21 +202,6 @@ void publish(Addr addr)
 }
 )fix"},
 
-    {"GateIfdef", "gate-hygiene",
-     "bench/fix_gate.cc",
-     R"fix(
-#ifdef TDRAM_TRACE
-static int traceDefaultOn = 1;
-#endif
-)fix",
-     "bench/fix_gate.cc",
-     R"fix(
-#include "trace/trace.hh"
-#if TDRAM_TRACE
-static int traceDefaultOn = 1;
-#endif
-)fix"},
-
     {"GuardMismatch", "include-guard",
      "src/sim/fix_guard.hh",
      R"fix(

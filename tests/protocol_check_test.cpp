@@ -124,14 +124,6 @@ INSTANTIATE_TEST_SUITE_P(
                                          PagePolicy::Open)),
     cleanRunName);
 
-TEST(CheckGate, HooksCompiledInThisBuild)
-{
-    // The library is always built with checking available; the
-    // TDRAM_CHECK=0 configuration is covered by
-    // tests/check_protocol_gate.sh (symbol check on channel.cc).
-    EXPECT_TRUE(checkCompiledIn());
-}
-
 TEST(CheckRules, TableIsWellFormed)
 {
     const auto &rules = checkRules();

@@ -287,18 +287,6 @@ poolRefName(const std::string &name)
     return ends("Txn") || ends("txn");
 }
 
-/** Gate macro -> defining header (gate-hygiene). */
-struct GateInfo
-{
-    const char *gate;
-    const char *header;  ///< include suffix that provides the default
-};
-const GateInfo kGates[] = {
-    {"TDRAM_TRACE", "trace/trace.hh"},
-    {"TDRAM_CHECK", "check/check.hh"},
-    {"TDRAM_STATS", "stats/stats.hh"},
-};
-
 /** Files allowed to touch TraceBuffer/ProtocolChecker directly. */
 const char *const kBusExemptPrefixes[] = {
     "src/trace/", "src/check/", "src/sim/event_bus.hh",
@@ -318,12 +306,7 @@ const LintRuleInfo kRules[] = {
      "or iteration over std::unordered_map/set"},
     {"bus-discipline", "src/ outside the bus and trace/check subsystems",
      "trace/check emission goes through emit(owner, Ev{...}); no direct "
-     "TraceBuffer::record / ProtocolChecker::onEvent / legacy "
-     "TSIM_*_EVENT macros"},
-    {"gate-hygiene", "all linted files",
-     "TDRAM_TRACE/TDRAM_CHECK/TDRAM_STATS value-tested with #if, "
-     "referenced in code only by their defining headers, defaults in "
-     "scope at every use"},
+     "TraceBuffer::record / ProtocolChecker::onEvent calls"},
     {"include-guard", "all headers",
      "self-consistent include guard; name derived from the path "
      "(TSIM_<DIR>_<FILE>_HH)"},
@@ -1055,13 +1038,6 @@ ruleBusDiscipline(const Lexed &lx, const std::string &path,
         if (t[i].kind != TokKind::Ident)
             continue;
         const std::string &w = t[i].text;
-        if (w == "TSIM_TRACE_EVENT" || w == "TSIM_CHECK_EVENT") {
-            pushFinding(out, "bus-discipline", path, t[i].line,
-                        "legacy " + w +
-                            " macro; emit(owner, Ev{...}) through "
-                            "sim/event_bus.hh instead");
-            continue;
-        }
         if ((w == "traceBuf" || w == "tracer") && i + 2 < t.size() &&
             (isPunct(t[i + 1], "->") || isPunct(t[i + 1], ".")) &&
             isKeyword(t[i + 2], "record")) {
@@ -1095,110 +1071,6 @@ ppWordAfter(const std::string &pp, const std::string &kw)
     while (e < pp.size() && identChar(pp[e]))
         ++e;
     return pp.substr(p, e - p);
-}
-
-/** gate-hygiene: TDRAM_* gates used correctly. */
-void
-ruleGateHygiene(const Lexed &lx, const std::string &path,
-                std::vector<LintFinding> &out)
-{
-    // Which gates does this file provide a default for / include the
-    // provider of?
-    std::set<std::string> defaulted;   // via #ifndef X / #define X
-    std::set<std::string> included;    // via defining header include
-    for (std::size_t i = 0; i < lx.pps.size(); ++i) {
-        const std::string &pp = lx.pps[i].text;
-        for (const GateInfo &g : kGates) {
-            if (ppWordAfter(pp, "#ifndef") == g.gate &&
-                i + 1 < lx.pps.size() &&
-                ppWordAfter(lx.pps[i + 1].text, "#define") == g.gate)
-                defaulted.insert(g.gate);
-            if (pp.find("#include") != std::string::npos &&
-                pp.find(g.header) != std::string::npos)
-                included.insert(g.gate);
-        }
-    }
-
-    int condDepth = 0;
-    for (std::size_t i = 0; i < lx.pps.size(); ++i) {
-        const std::string &pp = lx.pps[i].text;
-        const int line = lx.pps[i].line;
-        if (pp.find("#if") == 0 || pp.find("# if") == 0 ||
-            pp.rfind("#if", 0) == 0)
-            ++condDepth;
-        if (ppWordAfter(pp, "#endif") == "" &&
-            pp.rfind("#endif", 0) == 0)
-            --condDepth;
-        for (const GateInfo &g : kGates) {
-            if (pp.find(g.gate) == std::string::npos)
-                continue;
-            if (ppWordAfter(pp, "#ifdef") == g.gate) {
-                pushFinding(out, "gate-hygiene", path, line,
-                            std::string("#ifdef ") + g.gate +
-                                ": gates are value-style (0/1); #ifdef "
-                                "is true even for -D" +
-                                g.gate + "=0 — use '#if " + g.gate +
-                                "'");
-                continue;
-            }
-            if (ppWordAfter(pp, "#ifndef") == g.gate) {
-                if (!defaulted.count(g.gate)) {
-                    pushFinding(out, "gate-hygiene", path, line,
-                                std::string("#ifndef ") + g.gate +
-                                    " outside the default-definition "
-                                    "idiom; value-test with '#if " +
-                                    g.gate + "'");
-                }
-                continue;
-            }
-            const bool valueTest =
-                pp.rfind("#if", 0) == 0 || pp.rfind("#elif", 0) == 0;
-            if (valueTest && !defaulted.count(g.gate) &&
-                !included.count(g.gate)) {
-                pushFinding(
-                    out, "gate-hygiene", path, line,
-                    std::string("#if ") + g.gate + " without " +
-                        g.header +
-                        " in scope: an undefined gate silently "
-                        "evaluates to 0 — include the defining header");
-            }
-        }
-    }
-    if (condDepth != 0) {
-        pushFinding(out, "gate-hygiene", path,
-                    lx.pps.empty() ? 1 : lx.pps.back().line,
-                    "unbalanced preprocessor conditionals "
-                    "(#if/#endif mismatch)");
-    }
-
-    // Gate macros in plain code belong to the defining headers only
-    // (the canonical `return TDRAM_X != 0;` constexpr helpers).
-    for (const Tok &t : lx.toks) {
-        if (t.kind != TokKind::Ident)
-            continue;
-        for (const GateInfo &g : kGates) {
-            if (t.text != g.gate)
-                continue;
-            const bool definingHeader =
-                path.size() >= std::string(g.header).size() &&
-                path.compare(path.size() -
-                                 std::string(g.header).size(),
-                             std::string::npos, g.header) == 0;
-            if (!definingHeader && !defaulted.count(g.gate)) {
-                pushFinding(out, "gate-hygiene", path, t.line,
-                            std::string(g.gate) +
-                                " referenced in code outside its "
-                                "defining header; branch on " +
-                                (g.gate == std::string("TDRAM_TRACE")
-                                     ? "traceCompiledIn()"
-                                     : g.gate ==
-                                           std::string("TDRAM_CHECK")
-                                           ? "checkCompiledIn()"
-                                           : "statsCompiledIn()") +
-                                " or gate with #if");
-            }
-        }
-    }
 }
 
 /** include-guard: presence, self-consistency, TSIM_* naming. */
@@ -1310,7 +1182,6 @@ lintFile(const std::string &path, const std::string &content)
     ruleHotAlloc(lx, path, raw);
     ruleNondet(lx, path, raw);
     ruleBusDiscipline(lx, path, raw);
-    ruleGateHygiene(lx, path, raw);
     ruleIncludeGuard(lx, path, raw);
 
     // Apply suppressions: each allow covers findings of its rule

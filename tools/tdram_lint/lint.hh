@@ -4,10 +4,10 @@
  *
  * The repro's headline claims — byte-identical traces/stats/checker
  * verdicts across reruns and `--jobs N`, and ~0 allocs/event on the hot
- * path — are enforced dynamically by golden hashes, nm link gates and
- * sanitizer runs, but nothing *static* stops a new controller from
- * quietly reintroducing a heap allocation per event or an iteration
- * order that leaks into a golden output. This tool makes the
+ * path — are enforced dynamically by golden hashes and sanitizer
+ * runs, but nothing *static* stops a new controller from quietly
+ * reintroducing a heap allocation per event or an iteration order
+ * that leaks into a golden output. This tool makes the
  * conventions machine-checked: a lightweight C++ lexer plus a
  * structural matcher (no libclang, no dependencies beyond the
  * standard library) drives a declarative rule table in the style of
@@ -33,14 +33,8 @@
  *                   check/stats events.
  *  - bus-discipline trace/check emission goes through
  *                   emit(owner, Ev{...}); no direct TraceBuffer::
- *                   record / ProtocolChecker::onEvent calls or legacy
- *                   TSIM_TRACE_EVENT/TSIM_CHECK_EVENT macros outside
+ *                   record / ProtocolChecker::onEvent calls outside
  *                   the bus and the subsystems themselves.
- *  - gate-hygiene   TDRAM_TRACE/TDRAM_CHECK/TDRAM_STATS are
- *                   compile-time gates: value-tested with `#if` (never
- *                   `#ifdef`), referenced in code only by their
- *                   defining headers, and every `#if` use sits in a
- *                   file that includes the gate's defining header.
  *  - include-guard  every header carries a self-consistent include
  *                   guard; under src/ the guard name is derived from
  *                   the path (TSIM_<DIR>_<FILE>_HH).
