@@ -14,7 +14,8 @@
  *       channels, mlp, prefetch}. CSV to stdout.
  *
  * compare and sweep run their simulations in parallel on a
- * SweepRunner pool and print the rows in design or value order.
+ * SweepRunner pool and print the rows in design or value order. They
+ * print one row per run, so they reject run's --json and --stats.
  *
  * Common options: --ops N, --warmup N, --seed N, --capacity MiB,
  * --ways W, --no-probe, --open-page, --predictor.
@@ -72,6 +73,7 @@ usage()
         "         --stats --csv --json --trace PATH --check\n"
         "         --replay FILE.tdtz --replay-mode timed|afap\n"
         "         --replay-mlp N\n"
+        "  --stats (full statistics tree) and --json are run only\n"
         "  --trace writes a .tdt event trace (run: exactly PATH;\n"
         "  compare/sweep: PATH is a prefix, one file per run)\n"
         "  --replay drives the run with a recorded .tdtz request\n"
@@ -145,6 +147,20 @@ parseOptions(int argc, char **argv, int first)
         }
     }
     return o;
+}
+
+/** compare and sweep print rows; the per-run outputs are run's alone. */
+void
+rejectRunOnly(const CliOptions &o, const char *cmd)
+{
+    const char *flag = o.json        ? "--json"
+                       : o.fullStats ? "--stats"
+                                     : nullptr;
+    if (flag) {
+        std::fprintf(stderr, "%s is accepted by 'run' only, not by '%s'\n",
+                     flag, cmd);
+        usage();
+    }
 }
 
 SystemConfig
@@ -280,6 +296,7 @@ cmdCompare(int argc, char **argv)
     if (argc < 3)
         usage();
     const CliOptions o = parseOptions(argc, argv, 3);
+    rejectRunOnly(o, "compare");
     const WorkloadProfile &wl = findWorkload(argv[2]);
     const Design designs[] = {Design::NoCache, Design::CascadeLake,
                               Design::Alloy,   Design::Bear,
@@ -323,6 +340,7 @@ cmdSweep(int argc, char **argv)
     if (argc < 6)
         usage();
     const CliOptions o = parseOptions(argc, argv, 6);
+    rejectRunOnly(o, "sweep");
     const WorkloadProfile &wl = findWorkload(argv[2]);
     const Design d = parseDesign(argv[3]);
     const std::string param = argv[4];

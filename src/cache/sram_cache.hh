@@ -83,6 +83,7 @@ class SramCache
 
     Tick hitLatency() const { return _hitLatency; }
     const std::string &name() const { return _name; }
+    const TagArray &tags() const { return _tags; }
 
     double
     missRatio() const

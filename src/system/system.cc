@@ -20,6 +20,20 @@ pow2Ceil(std::uint64_t v)
     return p;
 }
 
+/**
+ * Fail the run unless every address below @p end fits @p tags: a tag
+ * cut to TagArray::tagBits would alias a lower line silently.
+ */
+void
+checkTagLimit(const TagArray &tags, const char *store, std::uint64_t end)
+{
+    fatal_if(end > tags.addrLimit(),
+             "the address space ends at %#llx, beyond the %s tag "
+             "store's limit %#llx (%u-bit tags)",
+             (unsigned long long)end, store,
+             (unsigned long long)tags.addrLimit(), TagArray::tagBits);
+}
+
 } // namespace
 
 System::System(const SystemConfig &cfg, const WorkloadProfile &workload)
@@ -57,6 +71,14 @@ System::System(const SystemConfig &cfg, const WorkloadProfile &workload)
 
     _mm = std::make_unique<MainMemory>(_eq, "mm", mm_cfg);
     _dcache = makeDramCache(_eq, cfg.design, dc_cfg, *_mm);
+    // The prefetcher reaches prefetchDegree lines past the space.
+    // Banshee's page fills need no margin: every limit is page-aligned.
+    std::uint64_t dcache_end;
+    if (__builtin_add_overflow(
+            space, std::uint64_t{cfg.prefetchDegree} * lineBytes,
+            &dcache_end))
+        dcache_end = ~std::uint64_t{0};
+    checkTagLimit(_dcache->tags(), "DRAM cache", dcache_end);
 
     if (!cfg.replay.path.empty()) {
         _engine = std::make_unique<TraceReplayEngine>(
@@ -67,9 +89,13 @@ System::System(const SystemConfig &cfg, const WorkloadProfile &workload)
             gens.push_back(makeGenerator(workload, c, cfg.cores.cores,
                                          cfg.dcacheCapacity));
         }
-        _engine = std::make_unique<CoreEngine>(
+        auto core = std::make_unique<CoreEngine>(
             _eq, "engine", cfg.cores, std::move(gens), *_dcache,
             cfg.seed);
+        checkTagLimit(core->llc().tags(), "LLC", space);
+        for (unsigned c = 0; c < cfg.cores.cores; ++c)
+            checkTagLimit(core->l1(c).tags(), "L1", space);
+        _engine = std::move(core);
     }
 
     if (!cfg.tracePath.empty()) {

@@ -19,6 +19,11 @@
  *    hot path in SramCache and DramCacheCtrl::resolveTags uses this.
  * Both styles produce identical functional behaviour and identical
  * LRU-clock sequencing.
+ *
+ * Each line's metadata is one 4-byte word, so a tag has 30 bits: the
+ * array holds only addresses below addrLimit() = 2^(36 + log2 sets).
+ * System checks every store's limit against the run's address space
+ * once, before the run; the access path does not check.
  */
 
 #ifndef TSIM_TDRAM_TAG_ARRAY_HH
@@ -47,10 +52,10 @@ struct TagResult
 /**
  * Set-associative functional tag array with LRU replacement.
  *
- * Layout (DESIGN.md §13): one 8-byte metadata word per line (tag << 2 |
- * dirty << 1 | valid), scanned on every lookup, and a separate LRU
- * stamp per line that exists only when ways > 1 and is read only on a
- * miss. A direct-mapped array is therefore 8 B per line.
+ * Layout (DESIGN.md §13): one 4-byte metadata word per line (tag << 2 |
+ * dirty << 1 | valid), scanned on every lookup, and a separate 8-byte
+ * LRU stamp per line that exists only when ways > 1 and is read only
+ * on a miss. A direct-mapped array is therefore 4 B per line.
  */
 class TagArray
 {
@@ -89,6 +94,22 @@ class TagArray
     std::uint64_t numSets() const { return _sets; }
     unsigned ways() const { return _ways; }
 
+    /** Width of the tag field of a metadata word. */
+    static constexpr unsigned tagBits = 30;
+
+    /**
+     * Exclusive bound on the addresses whose tag fits tagBits:
+     * 2^(6 + 30 + log2 sets), saturating at 2^64 - 1 when every
+     * address fits. An address at or above it would alias a lower one.
+     */
+    std::uint64_t
+    addrLimit() const
+    {
+        const unsigned bits =
+            std::countr_zero(lineBytes) + tagBits + _setShift;
+        return bits < 64 ? std::uint64_t{1} << bits : ~std::uint64_t{0};
+    }
+
     /** Set index of a line address. */
     std::uint64_t
     setIndex(Addr addr) const
@@ -108,9 +129,9 @@ class TagArray
     {
         Probe p;
         const std::uint64_t set = setIndex(addr);
-        const std::uint64_t want = (tagOf(addr) << 2) | validBit;
+        const std::uint32_t want = wordOf(addr) | validBit;
         const std::uint64_t base = set * _ways;
-        const std::uint64_t *meta = &_meta[base];
+        const std::uint32_t *meta = &_meta[base];
         for (unsigned w = 0; w < _ways; ++w) {
             if ((meta[w] & ~dirtyBit) == want) {
                 p.line = base + w;
@@ -122,7 +143,7 @@ class TagArray
             }
         }
         p.line = _ways > 1 ? base + victimWay(base) : base;
-        const std::uint64_t v = _meta[p.line];
+        const std::uint32_t v = _meta[p.line];
         p.result.valid = v & validBit;
         p.result.dirty = (v & (validBit | dirtyBit)) == (validBit | dirtyBit);
         p.result.victimAddr = (v & validBit) ? rebuildAddr(set, v >> 2) : 0;
@@ -170,8 +191,7 @@ class TagArray
     void
     install(Addr addr, bool dirty, const Probe &p)
     {
-        _meta[p.line] = (tagOf(addr) << 2) | (dirty ? dirtyBit : 0) |
-                        validBit;
+        _meta[p.line] = wordOf(addr) | (dirty ? dirtyBit : 0) | validBit;
         stamp(p.line);
     }
 
@@ -224,18 +244,25 @@ class TagArray
     validCount() const
     {
         std::uint64_t n = 0;
-        for (const std::uint64_t m : _meta)
+        for (const std::uint32_t m : _meta)
             n += m & validBit;
         return n;
     }
 
   private:
-    // Line tags are addr/lineBytes/sets <= 2^58, so both flags fit
-    // below the tag.
-    static constexpr std::uint64_t validBit = 1;
-    static constexpr std::uint64_t dirtyBit = 2;
+    static constexpr std::uint32_t validBit = 1;
+    static constexpr std::uint32_t dirtyBit = 2;
 
-    Addr tagOf(Addr addr) const { return (addr / lineBytes) >> _setShift; }
+    /**
+     * @p addr's tag shifted above the two flags, truncated to tagBits
+     * (exact below addrLimit()).
+     */
+    std::uint32_t
+    wordOf(Addr addr) const
+    {
+        return static_cast<std::uint32_t>(((addr / lineBytes) >> _setShift)
+                                          << 2);
+    }
 
     Addr
     rebuildAddr(std::uint64_t set, Addr tag) const
@@ -252,12 +279,13 @@ class TagArray
     unsigned
     victimWay(std::uint64_t base) const
     {
-        const std::uint64_t *meta = &_meta[base];
+        const std::uint32_t *meta = &_meta[base];
         const std::uint64_t *lru = &_lru[base];
         unsigned victim = 0;
         std::uint64_t oldest = ~std::uint64_t{0};
         for (unsigned w = 0; w < _ways; ++w) {
-            const std::uint64_t key = lru[w] & (0 - (meta[w] & validBit));
+            const std::uint64_t key =
+                lru[w] & (std::uint64_t{0} - (meta[w] & validBit));
             const bool older = key < oldest;
             oldest = older ? key : oldest;
             victim = older ? w : victim;
@@ -277,7 +305,7 @@ class TagArray
     unsigned _setShift = 0;
     std::uint64_t _sets;
     std::uint64_t _clock = 0;
-    std::vector<std::uint64_t> _meta;  ///< tag << 2 | dirty << 1 | valid
+    std::vector<std::uint32_t> _meta;  ///< tag << 2 | dirty << 1 | valid
     std::vector<std::uint64_t> _lru;   ///< use stamps; empty if ways == 1
 };
 

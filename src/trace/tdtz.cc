@@ -200,15 +200,27 @@ TdtzWriter::~TdtzWriter()
     finish();
 }
 
+bool
+recordLineEnd(const ReplayRecord &r, std::uint64_t &end)
+{
+    Addr last;
+    return !__builtin_add_overflow(r.addr, r.size ? r.size - 1 : 0,
+                                   &last) &&
+           !__builtin_add_overflow(lineAlign(last), Addr{lineBytes}, &end);
+}
+
 void
 TdtzWriter::append(const ReplayRecord &r)
 {
     panic_if(_finished, "append to a finished .tdtz writer");
+    std::uint64_t end = 0;
+    fatal_if(!recordLineEnd(r, end),
+             "'%s': record at %#llx of %u bytes wraps past the top of "
+             "the address space",
+             _path.c_str(), (unsigned long long)r.addr, r.size);
     _pending.push_back(r);
     ++_info.records;
-    _info.maxLineAddr = std::max<std::uint64_t>(
-        _info.maxLineAddr,
-        lineAlign(r.addr + (r.size ? r.size - 1 : 0)) + lineBytes);
+    _info.maxLineAddr = std::max(_info.maxLineAddr, end);
     if (r.isWrite)
         ++_info.writes;
     else
@@ -576,6 +588,11 @@ parseTextTrace(const std::string &path, std::vector<ReplayRecord> &out,
         }
         if (!junk.empty()) {
             error = where + "trailing junk '" + junk + "'";
+            return false;
+        }
+        std::uint64_t line_end = 0;
+        if (!recordLineEnd(r, line_end)) {
+            error = where + "range wraps past the top of the address space";
             return false;
         }
         out.push_back(r);

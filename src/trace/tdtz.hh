@@ -65,6 +65,13 @@ struct ReplayRecord
     }
 };
 
+/**
+ * Set @p end to lineAlign(addr + size - 1) + lineBytes, the exclusive
+ * end of the lines @p r touches (size 0 counts as one byte). Returns
+ * false, leaving @p end unset, if that end wraps past 2^64.
+ */
+bool recordLineEnd(const ReplayRecord &r, std::uint64_t &end);
+
 /** Payload codecs. Part of the format; new codecs append. */
 enum class TdtzCodec : std::uint32_t
 {
@@ -189,6 +196,7 @@ class TdtzWriter
     TdtzWriter(const TdtzWriter &) = delete;
     TdtzWriter &operator=(const TdtzWriter &) = delete;
 
+    /** Add @p r; fatal if its range wraps (see recordLineEnd). */
     void append(const ReplayRecord &r);
 
     /** Flush the open frame, write the footer, close the file. */
@@ -288,7 +296,7 @@ std::vector<ReplayRecord> projectDemands(const TraceFile &trace);
  * addr accepts 0x-hex or decimal; size (decimal bytes, at most
  * UINT32_MAX) defaults to one line (64 B); delta_ns (fractional ok)
  * defaults to 0. Returns false with @p error set on malformed input,
- * including a fifth token.
+ * including a fifth token and a range that wraps past 2^64.
  */
 bool parseTextTrace(const std::string &path,
                     std::vector<ReplayRecord> &out, std::string &error);

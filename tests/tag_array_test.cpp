@@ -129,6 +129,27 @@ TEST(TagArray, CapacityNeverExceeded)
     EXPECT_LE(t.validCount(), kCap / lineBytes);
 }
 
+TEST(TagArray, AddrLimitCoversThirtyBitTags)
+{
+    // The default DRAM cache, the LLC and an L1: 2^(36 + log2 sets).
+    EXPECT_EQ(TagArray(16 << 20, 1).addrLimit(), Addr{1} << 54);
+    EXPECT_EQ(TagArray(2 << 20, 16).addrLimit(), Addr{1} << 47);
+    EXPECT_EQ(TagArray(64 << 10, 8).addrLimit(), Addr{1} << 43);
+
+    // The top line below the limit keeps its whole tag (2^30 - 1): it
+    // hits, and a tag-0 line of its set evicts it by full address.
+    TagArray t(16 << 20, 1);
+    const Addr top = t.addrLimit() - lineBytes;
+    const Addr low = (t.numSets() - 1) * lineBytes;
+    ASSERT_EQ(t.setIndex(top), t.setIndex(low));
+    t.install(top, true);
+    EXPECT_TRUE(t.peek(top).hit);
+    const TagResult r = t.peek(low);
+    EXPECT_FALSE(r.hit);
+    EXPECT_TRUE(r.dirty);
+    EXPECT_EQ(r.victimAddr, top);
+}
+
 /**
  * Property: the tag array agrees with a reference model on every
  * hit, on every miss's victim (valid, dirty, address), and through
@@ -154,9 +175,16 @@ TEST_P(TagArrayModelCheck, MatchesReferenceModel)
     };
     std::map<std::uint64_t, std::vector<RefLine>> ref;
 
+    // Mostly 512 dense lines, plus lines whose tags are the ends of
+    // the 30-bit tag field, so a narrower field aliases and fails.
+    const Addr edge_tags[] = {0, 1, Addr{1} << 29, (Addr{1} << 30) - 1};
     Rng rng(ways * 1000 + 17);
     for (int i = 0; i < 40000; ++i) {
-        const Addr addr = rng.range(512) * lineBytes;
+        const Addr addr =
+            rng.chance(0.25)
+                ? (edge_tags[rng.range(4)] * sets + rng.range(sets)) *
+                      lineBytes
+                : rng.range(512) * lineBytes;
         const std::uint64_t set = (addr / lineBytes) % sets;
         const Addr tag = (addr / lineBytes) / sets;
         auto &lines = ref[set];

@@ -271,6 +271,12 @@ TEST(Tdtz, ParsesTextTraces)
         {"R 0x40 64 nan", "bad delta 'nan'"},
         {"R 0x40 64 1e300", "bad delta '1e300'"},
         {"R 0x40 64 10 extra", "trailing junk 'extra'"},
+        // The footer's bound lineAlign(addr + size - 1) + 64 must not
+        // wrap to a small number.
+        {"R 0xffffffffffffffc0 64",
+         "range wraps past the top of the address space"},
+        {"W 0xffffffffffffff00 4096",
+         "range wraps past the top of the address space"},
     };
     for (const auto &[bad, message] : bad_lines) {
         {
@@ -280,6 +286,30 @@ TEST(Tdtz, ParsesTextTraces)
         EXPECT_FALSE(parseTextTrace(path, recs, error)) << bad;
         EXPECT_EQ(error, path + ":2: " + message);
     }
+
+    // The highest line that does not wrap the bound is accepted.
+    {
+        std::ofstream out(path);
+        out << "R 0xffffffffffffff80 64\n";
+    }
+    ASSERT_TRUE(parseTextTrace(path, recs, error)) << error;
+}
+
+TEST(Tdtz, WriterRefusesWrappingRecord)
+{
+    const std::string path = tmpPath("wrap.tdtz");
+    std::uint64_t end = 0;
+    ASSERT_TRUE(recordLineEnd({0xffffffffffffff80, 64, false, 0}, end));
+    EXPECT_EQ(end, 0xffffffffffffffc0);
+    EXPECT_FALSE(recordLineEnd({0xffffffffffffffc0, 64, false, 0}, end));
+    EXPECT_FALSE(recordLineEnd({0xffffffffffffff00, 4096, false, 0}, end));
+    EXPECT_EXIT(
+        {
+            TdtzWriter w(path, TdtzCodec::Varint);
+            w.append({0x1000, 64, false, 0});
+            w.append({0xffffffffffffffc0, 64, false, 0});
+        },
+        ::testing::ExitedWithCode(1), "wraps past the top");
 }
 
 /** Capture a synthetic run's .tdt, project, and sanity-check. */
