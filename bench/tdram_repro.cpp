@@ -126,14 +126,15 @@ class RunSet
         return cfg;
     }
 
-    /** config(d) with one field set to @p value: a variant run. */
+    /** config(d) with one DRAM-cache field set to @p value: a
+     *  variant run. */
     template <class T>
     SystemConfig
-    with(Design d, T SystemConfig::*field,
+    with(Design d, T DramCacheConfig::*field,
          std::type_identity_t<T> value) const
     {
         SystemConfig cfg = config(d);
-        cfg.*field = value;
+        cfg.dcache.*field = value;
         return cfg;
     }
 
@@ -441,15 +442,12 @@ struct Rig
         };
     }
 
+    /** One TDRAM channel, without refresh to keep the waveform short. */
     static ChannelConfig
     cfg()
     {
-        ChannelConfig c;
-        c.inDramTags = true;
-        c.conditionalColumn = true;
-        c.enableProbe = true;
-        c.hasFlushBuffer = true;
-        c.opportunisticDrain = true;
+        ChannelConfig c =
+            dcacheChannelConfig(Design::Tdram, DramCacheConfig{});
         c.refreshEnabled = false;
         return c;
     }
@@ -850,17 +848,17 @@ fig13(const RunSet &rs)
 void
 planSecVD(RunSet &rs)
 {
-    rs.need(rs.with(Design::CascadeLake, &SystemConfig::predictor, true));
-    rs.need(rs.with(Design::Tdram, &SystemConfig::prefetchDegree, 2));
+    rs.need(rs.with(Design::CascadeLake, &DramCacheConfig::predictor, true));
+    rs.need(rs.with(Design::Tdram, &DramCacheConfig::prefetchDegree, 2));
 }
 
 void
 secVD(const RunSet &rs)
 {
     const SystemConfig pred_cfg =
-        rs.with(Design::CascadeLake, &SystemConfig::predictor, true);
+        rs.with(Design::CascadeLake, &DramCacheConfig::predictor, true);
     const SystemConfig pf_cfg =
-        rs.with(Design::Tdram, &SystemConfig::prefetchDegree, 2);
+        rs.with(Design::Tdram, &DramCacheConfig::prefetchDegree, 2);
 
     std::printf("SecV-D: MAP-I predictor impact on CascadeLake\n");
     std::printf("%-9s %12s %12s %9s %9s %10s\n", "workload", "base_us",
@@ -926,8 +924,8 @@ planSecVE(RunSet &rs)
     for (const auto &wl : rs.workloads())
         if (hasFlushPressure(wl))
             for (unsigned entries : kFlushEntries)
-                rs.need(rs.with(Design::Tdram, &SystemConfig::flushEntries,
-                                entries),
+                rs.need(rs.with(Design::Tdram,
+                                &DramCacheConfig::flushEntries, entries),
                         wl);
 }
 
@@ -943,7 +941,8 @@ secVE(const RunSet &rs)
             continue;
         for (unsigned entries : kFlushEntries) {
             const Run &run = rs.get(
-                rs.with(Design::Tdram, &SystemConfig::flushEntries, entries),
+                rs.with(Design::Tdram, &DramCacheConfig::flushEntries,
+                        entries),
                 wl);
             const SimReport &r = run.report;
             std::printf(
@@ -970,7 +969,7 @@ void
 planSecVF(RunSet &rs)
 {
     for (unsigned ways : kWays)
-        rs.need(rs.with(Design::Tdram, &SystemConfig::dcacheWays, ways));
+        rs.need(rs.with(Design::Tdram, &DramCacheConfig::ways, ways));
 }
 
 void
@@ -989,7 +988,7 @@ secVF(const RunSet &rs)
         double miss1 = 0;
         for (int i = 0; i < 5; ++i) {
             const SimReport &r =
-                rs.get(rs.with(Design::Tdram, &SystemConfig::dcacheWays,
+                rs.get(rs.with(Design::Tdram, &DramCacheConfig::ways,
                                kWays[i]),
                        wl)
                     .report;
@@ -1053,15 +1052,15 @@ ablationProbing(const RunSet &rs)
 void
 planAblationConditional(RunSet &rs)
 {
-    rs.need(rs.with(Design::Tdram, &SystemConfig::tdramConditionalColumn,
-                    false));
+    rs.need(rs.with(Design::Tdram,
+                    &DramCacheConfig::tdramConditionalColumn, false));
 }
 
 void
 ablationConditional(const RunSet &rs)
 {
-    const SystemConfig off_cfg =
-        rs.with(Design::Tdram, &SystemConfig::tdramConditionalColumn, false);
+    const SystemConfig off_cfg = rs.with(
+        Design::Tdram, &DramCacheConfig::tdramConditionalColumn, false);
 
     std::printf("Conditional-column ablation (TDRAM)\n");
     std::printf("%-9s | %8s %8s | %9s %9s | %9s\n", "workload", "bloat",
@@ -1095,7 +1094,7 @@ ablationConditional(const RunSet &rs)
 void
 planAblationPagePolicy(RunSet &rs)
 {
-    rs.need(rs.with(Design::CascadeLake, &SystemConfig::dcachePagePolicy,
+    rs.need(rs.with(Design::CascadeLake, &DramCacheConfig::pagePolicy,
                     PagePolicy::Open));
 }
 
@@ -1103,7 +1102,7 @@ void
 ablationPagePolicy(const RunSet &rs)
 {
     const SystemConfig open_cfg = rs.with(
-        Design::CascadeLake, &SystemConfig::dcachePagePolicy, PagePolicy::Open);
+        Design::CascadeLake, &DramCacheConfig::pagePolicy, PagePolicy::Open);
 
     std::printf("Page-policy ablation (CascadeLake device)\n");
     std::printf("%-9s | %10s %10s %9s | %9s %9s\n", "workload",

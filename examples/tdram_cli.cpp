@@ -170,10 +170,10 @@ makeConfig(const CliOptions &o, Design d)
     cfg.design = o.noProbe && d == Design::Tdram
                      ? Design::TdramNoProbe
                      : d;
-    cfg.dcacheCapacity = o.capacityMib << 20;
-    cfg.dcacheWays = o.ways;
-    cfg.predictor = o.predictor;
-    cfg.dcachePagePolicy =
+    cfg.dcache.capacityBytes = o.capacityMib << 20;
+    cfg.dcache.ways = o.ways;
+    cfg.dcache.predictor = o.predictor;
+    cfg.dcache.pagePolicy =
         o.openPage ? PagePolicy::Open : PagePolicy::Close;
     cfg.cores.opsPerCore = o.ops;
     cfg.warmupOpsPerCore = o.warmup;
@@ -360,17 +360,17 @@ cmdSweep(int argc, char **argv)
     for (std::uint64_t v : values) {
         SystemConfig cfg = makeConfig(o, d);
         if (param == "capacity_mib") {
-            cfg.dcacheCapacity = v << 20;
+            cfg.dcache.capacityBytes = v << 20;
         } else if (param == "ways") {
-            cfg.dcacheWays = static_cast<unsigned>(v);
+            cfg.dcache.ways = static_cast<unsigned>(v);
         } else if (param == "flush") {
-            cfg.flushEntries = static_cast<unsigned>(v);
+            cfg.dcache.flushEntries = static_cast<unsigned>(v);
         } else if (param == "channels") {
-            cfg.dcacheChannels = static_cast<unsigned>(v);
+            cfg.dcache.channels = static_cast<unsigned>(v);
         } else if (param == "mlp") {
             cfg.cores.mlp = static_cast<unsigned>(v);
         } else if (param == "prefetch") {
-            cfg.prefetchDegree = static_cast<unsigned>(v);
+            cfg.dcache.prefetchDegree = static_cast<unsigned>(v);
         } else {
             std::fprintf(stderr, "unknown sweep param '%s'\n",
                          param.c_str());

@@ -60,7 +60,7 @@ isDemandKind(TraceKind k)
 
 /** Did this command activate the data mats? */
 bool
-isAct(const CheckerConfig &cfg, const TraceRecord &r)
+isAct(const ChannelConfig &cfg, const TraceRecord &r)
 {
     const auto k = static_cast<TraceKind>(r.kind);
     if (k == TraceKind::ActRd || k == TraceKind::ActWr)
@@ -69,7 +69,7 @@ isAct(const CheckerConfig &cfg, const TraceRecord &r)
         return false;
     // Open-page row hits reuse the open row without an ACT; the
     // emission site records the hit in extra bit 0.
-    return !(cfg.openPage && (r.extra & 1u));
+    return !(cfg.pagePolicy == PagePolicy::Open && (r.extra & 1u));
 }
 
 /** Tag-compare bits of a command/HM record (hit/valid/dirty/probe). */
@@ -92,7 +92,7 @@ transferred(std::uint32_t extra)
  * victim-read extension of a write-miss-dirty ActWr (Figure 6).
  */
 Tick
-bankBusyAfter(const CheckerConfig &cfg, const TraceRecord &prev)
+bankBusyAfter(const ChannelConfig &cfg, const TraceRecord &prev)
 {
     const auto k = static_cast<TraceKind>(prev.kind);
     if (!isWriteKind(k))
@@ -179,11 +179,20 @@ findCheckRule(const std::string &id)
 }
 
 unsigned
-ProtocolChecker::addChannel(const CheckerConfig &cfg)
+ProtocolChecker::addChannel(const ChannelConfig &cfg)
 {
     ChannelState c;
     c.cfg = cfg;
     c.banks.resize(cfg.banks);
+    _chans.push_back(std::move(c));
+    return static_cast<unsigned>(_chans.size() - 1);
+}
+
+unsigned
+ProtocolChecker::addDemandChannel()
+{
+    ChannelState c;
+    c.demandOnly = true;
     _chans.push_back(std::move(c));
     return static_cast<unsigned>(_chans.size() - 1);
 }
@@ -234,11 +243,11 @@ ProtocolChecker::check(unsigned channel, const TraceRecord &r)
     }
     const auto k = static_cast<TraceKind>(r.kind);
 
-    if (c.cfg.demandOnly != isDemandKind(k)) {
+    if (c.demandOnly != isDemandKind(k)) {
         violation(r, "record-sane",
                   logFormat("%s event on a %s buffer", traceKindName(r.kind),
-                            c.cfg.demandOnly ? "controller-level"
-                                             : "channel-level"));
+                            c.demandOnly ? "controller-level"
+                                         : "channel-level"));
         return;
     }
 
@@ -393,7 +402,7 @@ ProtocolChecker::checkCommand(ChannelState &c, const TraceRecord &r)
             const bool lockstep_pair =
                 (k == TraceKind::ActRd || k == TraceKind::ActWr) &&
                 (pk == TraceKind::ActRd || pk == TraceKind::ActWr);
-            if (c.cfg.openPage && !lockstep_pair) {
+            if (c.cfg.pagePolicy == PagePolicy::Open && !lockstep_pair) {
                 // Open page: the exact bound depends on row state the
                 // trace does not carry; tCCD_L is the floor every
                 // same-bank command sequence must respect.

@@ -37,7 +37,7 @@
 #include <string>
 #include <vector>
 
-#include "dram/timing.hh"
+#include "dram/channel_config.hh"
 #include "sim/ticks.hh"
 #include "trace/trace.hh"
 
@@ -46,43 +46,6 @@ namespace tsim
 
 /** Always true; only perfbench's harness still reads it. */
 constexpr bool checkCompiledIn() { return true; }
-
-/**
- * Capability and timing knobs of one checked channel. Mirrors the
- * protocol-relevant subset of ChannelConfig (decoupled so the
- * checker never depends on the scheduler headers and can be
- * instantiated offline from a device preset).
- */
-struct CheckerConfig
-{
-    TimingParams timing{};
-    unsigned banks = 16;
-    bool openPage = false;        ///< PagePolicy::Open row management
-
-    bool inDramTags = false;      ///< device checks tags (TDRAM/NDC)
-    bool hmAtColumn = false;      ///< NDC: result tied to column op
-    bool conditionalColumn = false; ///< miss-clean suppresses data
-    bool enableProbe = false;     ///< TDRAM early tag probing
-    bool hasFlushBuffer = false;  ///< device-side victim buffer
-    unsigned flushEntries = 16;
-    bool opportunisticDrain = true; ///< TDRAM-style unloading
-
-    /**
-     * Page-grain remap layer (Banshee). Remap records open a fill
-     * group; flagged fill writes / spill reads must stay in lockstep
-     * with it (fillGroupLines per channel, addresses inside the
-     * installed/evicted page of pageBytes).
-     */
-    bool remapTable = false;
-    unsigned fillGroupLines = 0;
-    std::uint64_t pageBytes = 4096;
-
-    /**
-     * Controller-level demand buffer: only the demand-pairing rules
-     * apply; any channel-level command record is itself a violation.
-     */
-    bool demandOnly = false;
-};
 
 /** One detected rule violation. */
 struct CheckViolation
@@ -130,7 +93,14 @@ class ProtocolChecker
     ProtocolChecker() = default;
 
     /** Append a checked channel; @return its channel id. */
-    unsigned addChannel(const CheckerConfig &cfg);
+    unsigned addChannel(const ChannelConfig &cfg);
+
+    /**
+     * Append the controller-level demand buffer: only the
+     * demand-pairing rules apply, and any channel-level command
+     * record on it is itself a violation. @return its channel id.
+     */
+    unsigned addDemandChannel();
 
     unsigned numChannels() const
     {
@@ -194,7 +164,8 @@ class ProtocolChecker
     /** Per-channel rule-engine state. */
     struct ChannelState
     {
-        CheckerConfig cfg;
+        ChannelConfig cfg;
+        bool demandOnly = false;  ///< see addDemandChannel()
         std::vector<BankState> banks;
 
         // --- command/CA stream ---

@@ -1,113 +1,36 @@
 #include "check/offline.hh"
 
-#include "mem/types.hh"
 #include "sim/logging.hh"
+#include "system/system.hh"
 
 namespace tsim
 {
 
-namespace
-{
-
-const std::vector<std::string> kDevices = {
-    "tdram", "tdram-noprobe", "ndc", "cl", "alloy", "bear",
-    "tictoc", "banshee",
-};
-
-} // namespace
-
-const std::vector<std::string> &
-checkDeviceNames()
-{
-    return kDevices;
-}
-
-bool
-checkerPresetFor(const std::string &device, CheckerConfig &out)
-{
-    CheckerConfig c;
-    if (device == "tdram" || device == "tdram-noprobe") {
-        c.timing = hbm3CacheTimings();
-        c.inDramTags = true;
-        c.conditionalColumn = true;
-        c.enableProbe = device == "tdram";
-        c.hasFlushBuffer = true;
-        c.opportunisticDrain = true;
-    } else if (device == "ndc") {
-        c.timing = hbm3CacheTimings();
-        c.inDramTags = true;
-        c.hmAtColumn = true;
-        c.conditionalColumn = true;
-        c.hasFlushBuffer = true;
-        c.opportunisticDrain = false;
-    } else if (device == "cl") {
-        c.timing = hbm3CacheTimings();
-    } else if (device == "alloy" || device == "bear" ||
-               device == "tictoc") {
-        c.timing = hbm3TadTimings();
-    } else if (device == "banshee") {
-        c.timing = hbm3CacheTimings();
-        c.remapTable = true;
-    } else {
-        return false;
-    }
-    out = c;
-    return true;
-}
-
 CheckReport
-checkTrace(const TraceFile &trace, const OfflineCheckOptions &opts)
+checkTrace(const TraceFile &trace, const SystemConfig &cfg)
 {
     CheckReport rep;
-
-    CheckerConfig dcache_cfg;
-    if (!checkerPresetFor(opts.device, dcache_cfg)) {
-        rep.error = logFormat("unknown device preset '%s'",
-                              opts.device.c_str());
-        return rep;
-    }
-    dcache_cfg.banks = opts.banks;
-    dcache_cfg.openPage = opts.openPage;
-    dcache_cfg.flushEntries = opts.flushEntries;
-    if (dcache_cfg.remapTable) {
-        // Per-channel fill quota: the page's lines are interleaved
-        // line-by-line over the dcache channels.
-        dcache_cfg.fillGroupLines = static_cast<unsigned>(
-            dcache_cfg.pageBytes / lineBytes / opts.channels);
-    }
-
-    const unsigned expect = opts.channels + opts.mmChannels + 1;
-    if (trace.header.channels != expect) {
+    const std::unique_ptr<ProtocolChecker> chk = makeChecker(cfg);
+    if (trace.header.channels != chk->numChannels()) {
         rep.error = logFormat(
             "trace has %u channels but the %s topology needs %u "
             "(%u dcache + %u mm + 1 demand); adjust --channels / "
             "--mm-channels",
-            trace.header.channels, opts.device.c_str(), expect,
-            opts.channels, opts.mmChannels);
+            trace.header.channels, designName(cfg.design),
+            chk->numChannels(), cfg.dcache.channels, cfg.mmChannels);
         return rep;
     }
-
-    ProtocolChecker chk;
-    for (unsigned c = 0; c < opts.channels; ++c)
-        chk.addChannel(dcache_cfg);
-    CheckerConfig mm_cfg;
-    mm_cfg.timing = ddr5Timings();
-    for (unsigned c = 0; c < opts.mmChannels; ++c)
-        chk.addChannel(mm_cfg);
-    CheckerConfig demand_cfg;
-    demand_cfg.demandOnly = true;
-    chk.addChannel(demand_cfg);
 
     // loadTrace() returns records sorted by the global emission seq,
     // which is exactly the order the inline checker saw them in.
     for (const TraceRecord &r : trace.records)
-        chk.onRecord(r);
-    chk.finish();
+        chk->onRecord(r);
+    chk->finish();
 
-    rep.ok = chk.ok();
-    rep.events = chk.eventsChecked();
-    rep.violationCount = chk.violationCount();
-    rep.violations = chk.violations();
+    rep.ok = chk->ok();
+    rep.events = chk->eventsChecked();
+    rep.violationCount = chk->violationCount();
+    rep.violations = chk->violations();
     return rep;
 }
 

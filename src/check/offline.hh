@@ -2,13 +2,13 @@
  * @file
  * Offline protocol checking of recorded .tdt traces (DESIGN.md §11).
  *
- * `trace_tool check` rebuilds the same per-channel checker layout a
- * traced System used — dcache channels, then main-memory channels,
- * then one demand-only buffer — from a named device preset, and
- * replays the trace through the identical rule engine the inline mode
- * runs. A clean run checked inline therefore audits clean offline,
- * and a trace from a buggy (or tampered-with) build reports the first
- * violations with full context.
+ * `trace_tool check` rebuilds the checker a traced System used, from
+ * the run's SystemConfig and through the same code (makeChecker):
+ * dcache channels, then main-memory channels, then one demand-only
+ * buffer. It replays the trace through the identical rule engine the
+ * inline mode runs, so a clean run checked inline audits clean
+ * offline, and a trace from a buggy (or tampered-with) build reports
+ * the first violations with full context.
  */
 
 #ifndef TSIM_CHECK_OFFLINE_HH
@@ -23,16 +23,7 @@
 namespace tsim
 {
 
-/** Offline audit parameters (mirror the traced run's topology). */
-struct OfflineCheckOptions
-{
-    std::string device = "tdram";  ///< preset (see checkDeviceNames())
-    bool openPage = false;         ///< dcache page policy of the run
-    unsigned channels = 8;         ///< dcache channels
-    unsigned mmChannels = 2;       ///< DDR5 main-memory channels
-    unsigned banks = 16;           ///< banks per dcache channel
-    unsigned flushEntries = 16;    ///< flush-buffer capacity
-};
+struct SystemConfig;
 
 /** Result of one offline audit. */
 struct CheckReport
@@ -44,24 +35,12 @@ struct CheckReport
     std::vector<CheckViolation> violations;  ///< stored subset
 };
 
-/** Names accepted by OfflineCheckOptions::device. */
-const std::vector<std::string> &checkDeviceNames();
-
 /**
- * DRAM-cache channel checker config for @p device ("tdram",
- * "tdram-noprobe", "ndc", "cl", "alloy", "bear", "tictoc",
- * "banshee"), mirroring the factory's per-design channel
- * capabilities and timing.
- * @return false if the name is unknown.
+ * Audit @p trace, recorded by a run of @p cfg, against the rule
+ * table. The trace's channel count must match cfg's layout
+ * (dcache.channels + mmChannels + 1).
  */
-bool checkerPresetFor(const std::string &device, CheckerConfig &out);
-
-/**
- * Audit @p trace against the rule table. The trace's channel count
- * must equal channels + mmChannels + 1 (the traced layout).
- */
-CheckReport checkTrace(const TraceFile &trace,
-                       const OfflineCheckOptions &opts);
+CheckReport checkTrace(const TraceFile &trace, const SystemConfig &cfg);
 
 } // namespace tsim
 

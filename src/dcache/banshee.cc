@@ -3,29 +3,9 @@
 namespace tsim
 {
 
-namespace
-{
-
-ChannelConfig
-bansheeChanCfg(const DramCacheConfig &cfg)
-{
-    // Plain device (no in-DRAM tags — the remap table is SRAM-side),
-    // but with the page-grain audit geometry the protocol checker
-    // needs: fill groups issue pageBytes/lineBytes lines spread
-    // line-interleaved over the channels.
-    ChannelConfig c;
-    c.remapTable = true;
-    c.pageBytes = cfg.pageBytes;
-    c.fillGroupLines = static_cast<unsigned>(
-        cfg.pageBytes / lineBytes / cfg.channels);
-    return c;
-}
-
-} // namespace
-
 BansheeCtrl::BansheeCtrl(EventQueue &eq, std::string name,
                          const DramCacheConfig &cfg, MainMemory &mm)
-    : DramCacheCtrl(eq, name, cfg, mm, bansheeChanCfg(cfg)),
+    : DramCacheCtrl(eq, name, Design::Banshee, cfg, mm),
       _remap(eq, name + ".remap", cfg.capacityBytes, cfg.pageBytes,
              cfg.ways)
 {

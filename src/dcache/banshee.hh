@@ -43,8 +43,6 @@ class BansheeCtrl : public DramCacheCtrl
     BansheeCtrl(EventQueue &eq, std::string name,
                 const DramCacheConfig &cfg, MainMemory &mm);
 
-    Design design() const override { return Design::Banshee; }
-
     void warmAccess(Addr addr, bool is_write) override;
     void regStats(StatGroup &g) const override;
 

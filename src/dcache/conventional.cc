@@ -3,24 +3,11 @@
 namespace tsim
 {
 
-namespace
-{
-
-ChannelConfig
-conventionalChanCfg()
-{
-    // Plain HBM3-style device: no in-DRAM tags, no HM bus, no flush
-    // buffer; the controller discovers hit/miss from the read data.
-    return ChannelConfig{};
-}
-
-} // namespace
-
 CascadeLakeCtrl::CascadeLakeCtrl(EventQueue &eq, std::string name,
+                                 Design design,
                                  const DramCacheConfig &cfg,
                                  MainMemory &mm)
-    : DramCacheCtrl(eq, std::move(name), cfg, mm,
-                    conventionalChanCfg())
+    : DramCacheCtrl(eq, std::move(name), design, cfg, mm)
 {
 }
 

@@ -27,10 +27,10 @@ namespace tsim
 class CascadeLakeCtrl : public DramCacheCtrl
 {
   public:
-    CascadeLakeCtrl(EventQueue &eq, std::string name,
+    /** @p design: CascadeLake, Alloy (the same flow on a TAD
+     *  device), or a design that extends the flow. */
+    CascadeLakeCtrl(EventQueue &eq, std::string name, Design design,
                     const DramCacheConfig &cfg, MainMemory &mm);
-
-    Design design() const override { return Design::CascadeLake; }
 
     const MapIPredictor &predictor() const { return _pred; }
 
@@ -58,20 +58,11 @@ class CascadeLakeCtrl : public DramCacheCtrl
     MapIPredictor _pred;
 };
 
-/** Alloy cache: CascadeLake flow with 80 B TAD bursts. */
-class AlloyCtrl : public CascadeLakeCtrl
+/** BEAR: Alloy + write-hit tag-check bypass via LLC presence bits. */
+class BearCtrl : public CascadeLakeCtrl
 {
   public:
     using CascadeLakeCtrl::CascadeLakeCtrl;
-    Design design() const override { return Design::Alloy; }
-};
-
-/** BEAR: Alloy + write-hit tag-check bypass via LLC presence bits. */
-class BearCtrl : public AlloyCtrl
-{
-  public:
-    using AlloyCtrl::AlloyCtrl;
-    Design design() const override { return Design::Bear; }
 
   protected:
     void startAccess(const TxnPtr &txn) override;

@@ -45,26 +45,16 @@ parseDesign(const std::string &name)
 }
 
 DramCacheCtrl::DramCacheCtrl(EventQueue &eq, std::string name,
-                             const DramCacheConfig &cfg, MainMemory &mm,
-                             ChannelConfig chan_cfg)
-    : SimObject(eq, std::move(name)), _cfg(cfg),
+                             Design design, const DramCacheConfig &cfg,
+                             MainMemory &mm)
+    : SimObject(eq, std::move(name)), _design(design), _cfg(cfg),
       _tags(cfg.capacityBytes, cfg.ways),
       _map(cfg.capacityBytes, cfg.channels, cfg.banks, cfg.rowBytes),
       _mm(mm)
 {
-    chan_cfg.timing = cfg.timing;
-    chan_cfg.banks = cfg.banks;
-    chan_cfg.rowBytes = cfg.rowBytes;
-    chan_cfg.readQCap = cfg.readQCap;
-    chan_cfg.writeQCap = cfg.writeQCap;
-    chan_cfg.writeHigh = cfg.writeQCap * 3 / 4;
-    chan_cfg.writeLow = cfg.writeQCap / 4;
-    chan_cfg.flushEntries = cfg.flushEntries;
-    chan_cfg.refreshEnabled = cfg.refreshEnabled;
-    chan_cfg.pagePolicy = cfg.pagePolicy;
-    chan_cfg.pageBytes = cfg.pageBytes;
+    const ChannelConfig chan_cfg = dcacheChannelConfig(design, cfg);
     _burstBytes = static_cast<unsigned>(
-        lineBytes * cfg.timing.burstScale + 0.5);
+        lineBytes * chan_cfg.timing.burstScale + 0.5);
 
     for (unsigned c = 0; c < cfg.channels; ++c) {
         auto ch = std::make_unique<DramChannel>(
@@ -353,7 +343,7 @@ DramCacheCtrl::enqueueChan(ChanReq req, bool is_write)
     }
     // Queue full: retry shortly. The channel drains continuously, so
     // this terminates; the retry interval is one burst.
-    _eq.scheduleIn(_cfg.timing.tBURST,
+    _eq.scheduleIn(ch.config().timing.tBURST,
                    [this, req = std::move(req), is_write]() mutable {
                        enqueueChan(std::move(req), is_write);
                    });

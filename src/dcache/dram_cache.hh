@@ -10,8 +10,10 @@
  * (access-outcome breakdown, tag-check latency, read-queue delay,
  * useful/maintenance/discarded traffic for bandwidth bloat).
  *
- * Each design (CascadeLake, Alloy, BEAR, NDC, TDRAM, Ideal, NoCache)
- * implements startAccess() with its protocol flow from §II/§III.
+ * Each protocol flow from §II/§III implements startAccess() once;
+ * designs that differ only in their device (CascadeLake and Alloy;
+ * NDC, TDRAM and TDRAM-noprobe) share one controller class and get
+ * their channels from dcacheChannelConfig().
  */
 
 #ifndef TSIM_DCACHE_DRAM_CACHE_HH
@@ -66,7 +68,6 @@ struct DramCacheConfig
     unsigned channels = 8;
     unsigned banks = 16;
     std::uint64_t rowBytes = 1024;
-    TimingParams timing{};         ///< set by the design factory
     unsigned readQCap = 64;
     unsigned writeQCap = 64;
     unsigned conflictBufEntries = 32;
@@ -89,15 +90,29 @@ struct DramCacheConfig
      * contribution of the column-gating mechanism (§III-C3).
      */
     bool tdramConditionalColumn = true;
+
+    bool operator==(const DramCacheConfig &) const = default;
 };
+
+/**
+ * The channel every DRAM-cache channel of @p design runs under @p cfg:
+ * the device timing (64 B bursts, or Alloy/BEAR/TicToc's 80 B TAD
+ * bursts), the capability bits (in-DRAM tags, HM bus, conditional
+ * column, early probing, flush buffer, page-grain remap), and the
+ * geometry and queue sizes of @p cfg. The one description of each
+ * design's device: the controllers build their channels from it and
+ * the protocol checker audits against it, inline and offline.
+ */
+ChannelConfig dcacheChannelConfig(Design design,
+                                  const DramCacheConfig &cfg);
 
 /** Abstract DRAM-cache controller. */
 class DramCacheCtrl : public SimObject
 {
   public:
-    DramCacheCtrl(EventQueue &eq, std::string name,
-                  const DramCacheConfig &cfg, MainMemory &mm,
-                  ChannelConfig chan_cfg);
+    /** Builds cfg.channels channels of dcacheChannelConfig(). */
+    DramCacheCtrl(EventQueue &eq, std::string name, Design design,
+                  const DramCacheConfig &cfg, MainMemory &mm);
     ~DramCacheCtrl() override;
 
     /** Admission control: false applies backpressure to the LLC. */
@@ -113,7 +128,7 @@ class DramCacheCtrl : public SimObject
      */
     virtual void warmAccess(Addr addr, bool is_write);
 
-    virtual Design design() const = 0;
+    Design design() const { return _design; }
 
     /** True when the design consults a hit/miss predictor (§V-D). */
     virtual bool hasPredictor() const { return false; }
@@ -396,6 +411,7 @@ class DramCacheCtrl : public SimObject
     std::uint64_t nextChanId() { return _nextChanId++; }
     /// @}
 
+    Design _design;
     DramCacheConfig _cfg;
     TagArray _tags;
     AddressMap _map;

@@ -1,9 +1,7 @@
 /**
  * @file
- * Factory assembling the requested DRAM-cache design with the
- * paper's per-design timing (CascadeLake uses 64 B bursts; Alloy and
- * BEAR stream 80 B TAD units; the in-DRAM-tag designs add the tag-
- * bank parameters of Table III).
+ * Each design's DRAM-cache device (timing and capability bits, in one
+ * place) and the factory assembling the requested controller.
  */
 
 #include "dcache/banshee.hh"
@@ -17,47 +15,87 @@
 namespace tsim
 {
 
+ChannelConfig
+dcacheChannelConfig(Design design, const DramCacheConfig &cfg)
+{
+    ChannelConfig c;
+    c.timing = hbm3CacheTimings();
+    c.banks = cfg.banks;
+    c.rowBytes = cfg.rowBytes;
+    c.pagePolicy = cfg.pagePolicy;
+    c.flushEntries = cfg.flushEntries;
+    c.pageBytes = cfg.pageBytes;
+    c.readQCap = cfg.readQCap;
+    c.writeQCap = cfg.writeQCap;
+    c.writeHigh = cfg.writeQCap * 3 / 4;
+    c.writeLow = cfg.writeQCap / 4;
+    c.refreshEnabled = cfg.refreshEnabled;
+    switch (design) {
+      case Design::CascadeLake:
+      case Design::Ideal:
+        // Plain HBM3-style device: no in-DRAM tags, no HM bus, no
+        // flush buffer; the controller learns hit/miss from the data.
+        break;
+      case Design::Alloy:
+      case Design::Bear:
+      case Design::TicToc:
+        // Tag-and-data layout: 80 B TAD bursts per 64 B demand
+        // (TicToc only elides the accesses it proves useless).
+        c.timing = hbm3TadTimings();
+        break;
+      case Design::Ndc:
+        c.inDramTags = true;
+        c.hmAtColumn = true;        // result tied to the column op
+        c.conditionalColumn = true; // moves the same bytes as TDRAM
+        c.hasFlushBuffer = true;    // NDC's victim buffer
+        c.opportunisticDrain = false; // drains only via explicit RES
+        break;
+      case Design::Tdram:
+      case Design::TdramNoProbe:
+        c.inDramTags = true;        // HM bus result at tRCD_TAG + tHM
+        c.conditionalColumn = cfg.tdramConditionalColumn;
+        c.enableProbe = design == Design::Tdram;
+        c.hasFlushBuffer = true;
+        break;
+      case Design::NoCache:
+        // The cache channels are never used; silence their refresh.
+        c.refreshEnabled = false;
+        break;
+      case Design::Banshee:
+        // The remap table is SRAM-side, so the device is plain; fill
+        // groups write pageBytes/lineBytes lines, line-interleaved
+        // over the channels.
+        c.remapTable = true;
+        c.fillGroupLines = static_cast<unsigned>(
+            cfg.pageBytes / lineBytes / cfg.channels);
+        break;
+    }
+    return c;
+}
+
 std::unique_ptr<DramCacheCtrl>
 makeDramCache(EventQueue &eq, Design design, const DramCacheConfig &cfg,
               MainMemory &mm)
 {
-    DramCacheConfig c = cfg;
     const std::string n = std::string("dcache.") + designName(design);
     switch (design) {
       case Design::CascadeLake:
-        c.timing = hbm3CacheTimings();
-        return std::make_unique<CascadeLakeCtrl>(eq, n, c, mm);
       case Design::Alloy:
-        c.timing = hbm3TadTimings();
-        return std::make_unique<AlloyCtrl>(eq, n, c, mm);
+        return std::make_unique<CascadeLakeCtrl>(eq, n, design, cfg, mm);
       case Design::Bear:
-        c.timing = hbm3TadTimings();
-        return std::make_unique<BearCtrl>(eq, n, c, mm);
+        return std::make_unique<BearCtrl>(eq, n, design, cfg, mm);
       case Design::Ndc:
-        c.timing = hbm3CacheTimings();
-        return std::make_unique<NdcCtrl>(eq, n, c, mm);
       case Design::Tdram:
-        c.timing = hbm3CacheTimings();
-        return std::make_unique<TdramCtrl>(eq, n, c, mm, true);
       case Design::TdramNoProbe:
-        c.timing = hbm3CacheTimings();
-        return std::make_unique<TdramCtrl>(eq, n, c, mm, false);
+        return std::make_unique<InDramTagCtrl>(eq, n, design, cfg, mm);
       case Design::Ideal:
-        c.timing = hbm3CacheTimings();
-        return std::make_unique<IdealCtrl>(eq, n, c, mm);
+        return std::make_unique<IdealCtrl>(eq, n, cfg, mm);
       case Design::NoCache:
-        c.timing = hbm3CacheTimings();
-        return std::make_unique<NoCacheCtrl>(eq, n, c, mm);
+        return std::make_unique<NoCacheCtrl>(eq, n, cfg, mm);
       case Design::TicToc:
-        // TicToc keeps the TAD layout (tags travel with the data) but
-        // elides the accesses its dirtiness tracking proves useless.
-        c.timing = hbm3TadTimings();
-        return std::make_unique<TicTocCtrl>(eq, n, c, mm);
+        return std::make_unique<TicTocCtrl>(eq, n, design, cfg, mm);
       case Design::Banshee:
-        // Remap metadata is SRAM-side, so the device streams plain
-        // 64 B bursts like CascadeLake.
-        c.timing = hbm3CacheTimings();
-        return std::make_unique<BansheeCtrl>(eq, n, c, mm);
+        return std::make_unique<BansheeCtrl>(eq, n, cfg, mm);
       default:
         panic("unknown DRAM-cache design");
     }

@@ -3,44 +3,6 @@
 namespace tsim
 {
 
-namespace
-{
-
-ChannelConfig
-ndcChanCfg()
-{
-    ChannelConfig c;
-    c.inDramTags = true;
-    c.hmAtColumn = true;        // result tied to the column operation
-    c.conditionalColumn = true; // moves the same bytes as TDRAM
-    c.enableProbe = false;
-    c.hasFlushBuffer = true;    // NDC's victim buffer
-    c.opportunisticDrain = false; // drains only via explicit RES
-    return c;
-}
-
-ChannelConfig
-tdramChanCfg(bool probing, bool conditional_column)
-{
-    ChannelConfig c;
-    c.inDramTags = true;
-    c.hmAtColumn = false;       // HM bus result at tRCD_TAG + tHM
-    c.conditionalColumn = conditional_column;
-    c.enableProbe = probing;
-    c.hasFlushBuffer = true;
-    c.opportunisticDrain = true;
-    return c;
-}
-
-} // namespace
-
-InDramTagCtrl::InDramTagCtrl(EventQueue &eq, std::string name,
-                             const DramCacheConfig &cfg, MainMemory &mm,
-                             ChannelConfig chan_cfg)
-    : DramCacheCtrl(eq, std::move(name), cfg, mm, chan_cfg)
-{
-}
-
 void
 InDramTagCtrl::startAccess(const TxnPtr &txn)
 {
@@ -173,21 +135,6 @@ InDramTagCtrl::maybeFill(const TxnPtr &txn)
     txn->fillIssued = true;
     doFill(txn->pkt.addr);
     release(txn);
-}
-
-NdcCtrl::NdcCtrl(EventQueue &eq, std::string name,
-                 const DramCacheConfig &cfg, MainMemory &mm)
-    : InDramTagCtrl(eq, std::move(name), cfg, mm, ndcChanCfg())
-{
-}
-
-TdramCtrl::TdramCtrl(EventQueue &eq, std::string name,
-                     const DramCacheConfig &cfg, MainMemory &mm,
-                     bool probing)
-    : InDramTagCtrl(eq, std::move(name), cfg, mm,
-                    tdramChanCfg(probing, cfg.tdramConditionalColumn)),
-      _probing(probing)
-{
 }
 
 } // namespace tsim

@@ -25,13 +25,14 @@
 namespace tsim
 {
 
-/** Shared controller flow for NDC and TDRAM. */
+/**
+ * The controller flow of NDC, TDRAM and TDRAM-noprobe; the device
+ * (dcacheChannelConfig) is all that tells them apart.
+ */
 class InDramTagCtrl : public DramCacheCtrl
 {
   public:
-    InDramTagCtrl(EventQueue &eq, std::string name,
-                  const DramCacheConfig &cfg, MainMemory &mm,
-                  ChannelConfig chan_cfg);
+    using DramCacheCtrl::DramCacheCtrl;
 
   protected:
     void startAccess(const TxnPtr &txn) override;
@@ -48,31 +49,6 @@ class InDramTagCtrl : public DramCacheCtrl
 
     /** Fill once both the victim transfer and mm data are in. */
     void maybeFill(const TxnPtr &txn);
-};
-
-/** Native DRAM Cache (ISCA'24). */
-class NdcCtrl : public InDramTagCtrl
-{
-  public:
-    NdcCtrl(EventQueue &eq, std::string name,
-            const DramCacheConfig &cfg, MainMemory &mm);
-    Design design() const override { return Design::Ndc; }
-};
-
-/** TDRAM (this paper); @p probing false gives the §V ablation. */
-class TdramCtrl : public InDramTagCtrl
-{
-  public:
-    TdramCtrl(EventQueue &eq, std::string name,
-              const DramCacheConfig &cfg, MainMemory &mm,
-              bool probing = true);
-    Design design() const override
-    {
-        return _probing ? Design::Tdram : Design::TdramNoProbe;
-    }
-
-  private:
-    bool _probing;
 };
 
 } // namespace tsim

@@ -5,7 +5,7 @@ namespace tsim
 
 IdealCtrl::IdealCtrl(EventQueue &eq, std::string name,
                      const DramCacheConfig &cfg, MainMemory &mm)
-    : DramCacheCtrl(eq, std::move(name), cfg, mm, ChannelConfig{})
+    : DramCacheCtrl(eq, std::move(name), Design::Ideal, cfg, mm)
 {
 }
 
@@ -114,23 +114,9 @@ IdealCtrl::maybeFill(const TxnPtr &txn)
     release(txn);
 }
 
-namespace
-{
-
-/** NoCache never touches its cache channels; silence their refresh. */
-DramCacheConfig
-quiesced(DramCacheConfig cfg)
-{
-    cfg.refreshEnabled = false;
-    return cfg;
-}
-
-} // namespace
-
 NoCacheCtrl::NoCacheCtrl(EventQueue &eq, std::string name,
                          const DramCacheConfig &cfg, MainMemory &mm)
-    : DramCacheCtrl(eq, std::move(name), quiesced(cfg), mm,
-                    ChannelConfig{})
+    : DramCacheCtrl(eq, std::move(name), Design::NoCache, cfg, mm)
 {
 }
 

@@ -19,7 +19,6 @@ class IdealCtrl : public DramCacheCtrl
   public:
     IdealCtrl(EventQueue &eq, std::string name,
               const DramCacheConfig &cfg, MainMemory &mm);
-    Design design() const override { return Design::Ideal; }
 
   protected:
     void startAccess(const TxnPtr &txn) override;
@@ -37,7 +36,6 @@ class NoCacheCtrl : public DramCacheCtrl
   public:
     NoCacheCtrl(EventQueue &eq, std::string name,
                 const DramCacheConfig &cfg, MainMemory &mm);
-    Design design() const override { return Design::NoCache; }
 
   protected:
     void startAccess(const TxnPtr &txn) override;

@@ -33,8 +33,6 @@ class TicTocCtrl : public CascadeLakeCtrl
   public:
     using CascadeLakeCtrl::CascadeLakeCtrl;
 
-    Design design() const override { return Design::TicToc; }
-
     void warmAccess(Addr addr, bool is_write) override;
     void regStats(StatGroup &g) const override;
 

@@ -26,26 +26,6 @@ subClamp(Tick a, Tick b)
 
 } // namespace
 
-CheckerConfig
-checkerConfigOf(const ChannelConfig &cfg)
-{
-    CheckerConfig c;
-    c.timing = cfg.timing;
-    c.banks = cfg.banks;
-    c.openPage = cfg.pagePolicy == PagePolicy::Open;
-    c.inDramTags = cfg.inDramTags;
-    c.hmAtColumn = cfg.hmAtColumn;
-    c.conditionalColumn = cfg.conditionalColumn;
-    c.enableProbe = cfg.enableProbe;
-    c.hasFlushBuffer = cfg.hasFlushBuffer;
-    c.flushEntries = cfg.flushEntries;
-    c.opportunisticDrain = cfg.opportunisticDrain;
-    c.remapTable = cfg.remapTable;
-    c.fillGroupLines = cfg.fillGroupLines;
-    c.pageBytes = cfg.pageBytes;
-    return c;
-}
-
 DramChannel::DramChannel(EventQueue &eq, std::string name,
                          ChannelConfig cfg, AddressMap map)
     : SimObject(eq, std::move(name)), _cfg(cfg), _map(map),

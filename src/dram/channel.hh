@@ -50,6 +50,7 @@
 #include <vector>
 
 #include "check/check.hh"
+#include "dram/channel_config.hh"
 #include "dram/timing.hh"
 #include "mem/address_map.hh"
 #include "mem/types.hh"
@@ -123,47 +124,6 @@ static_assert(std::is_nothrow_move_assignable_v<ChanReq>,
               "ChanReq must be nothrow-move-assignable");
 static_assert(!std::is_copy_constructible_v<ChanReq>,
               "ChanReq must stay move-only (callbacks own state)");
-
-/** Row-buffer management policy. */
-enum class PagePolicy : std::uint8_t
-{
-    Close,  ///< auto-precharge after every column op (Table III)
-    Open,   ///< rows stay open; FR-FCFS prefers row hits
-};
-
-/** Capability and policy knobs for one channel. */
-struct ChannelConfig
-{
-    TimingParams timing{};
-    unsigned banks = 16;          ///< logical (paired) banks
-    std::uint64_t rowBytes = 1024;
-    PagePolicy pagePolicy = PagePolicy::Close;
-
-    bool inDramTags = false;      ///< device checks tags (TDRAM/NDC)
-    bool hmAtColumn = false;      ///< NDC: result tied to column op
-    bool conditionalColumn = false; ///< skip transfer on miss-clean
-    bool enableProbe = false;     ///< TDRAM early tag probing
-    bool hasFlushBuffer = false;  ///< device-side victim buffer
-    unsigned flushEntries = 16;
-    bool opportunisticDrain = true; ///< TDRAM-style unloading
-
-    bool remapTable = false;      ///< page-grain remap layer (Banshee)
-    unsigned fillGroupLines = 0;  ///< fill writes per channel per group
-    std::uint64_t pageBytes = 4096; ///< remap granularity
-
-    unsigned readQCap = 64;
-    unsigned writeQCap = 64;
-    unsigned writeHigh = 48;      ///< enter write-drain mode
-    unsigned writeLow = 16;       ///< leave write-drain mode
-    bool refreshEnabled = true;
-};
-
-/**
- * Protocol-relevant subset of @p cfg as a checker channel config
- * (src/check). Shared by the inline wiring (System) and the offline
- * device presets so both modes audit against identical rules.
- */
-CheckerConfig checkerConfigOf(const ChannelConfig &cfg);
 
 /** One DRAM channel plus its controller back-end. */
 class DramChannel : public SimObject

@@ -3,21 +3,28 @@
 namespace tsim
 {
 
+ChannelConfig
+mmChannelConfig(const MainMemoryConfig &cfg)
+{
+    ChannelConfig c;
+    c.timing = cfg.timing;
+    c.banks = cfg.banks;
+    c.rowBytes = cfg.rowBytes;
+    c.readQCap = cfg.readQCap;
+    c.writeQCap = cfg.writeQCap;
+    c.refreshEnabled = cfg.refreshEnabled;
+    c.writeHigh = cfg.writeQCap * 3 / 4;
+    c.writeLow = cfg.writeQCap / 4;
+    return c;
+}
+
 MainMemory::MainMemory(EventQueue &eq, std::string name,
                        const MainMemoryConfig &cfg)
     : SimObject(eq, std::move(name)), _cfg(cfg),
       _map(cfg.capacityBytes, cfg.channels, cfg.banks, cfg.rowBytes),
       _front(cfg.channels)
 {
-    ChannelConfig ccfg;
-    ccfg.timing = cfg.timing;
-    ccfg.banks = cfg.banks;
-    ccfg.rowBytes = cfg.rowBytes;
-    ccfg.readQCap = cfg.readQCap;
-    ccfg.writeQCap = cfg.writeQCap;
-    ccfg.refreshEnabled = cfg.refreshEnabled;
-    ccfg.writeHigh = cfg.writeQCap * 3 / 4;
-    ccfg.writeLow = cfg.writeQCap / 4;
+    const ChannelConfig ccfg = mmChannelConfig(cfg);
     for (unsigned c = 0; c < cfg.channels; ++c) {
         _chans.push_back(std::make_unique<DramChannel>(
             eq, this->name() + ".ch" + std::to_string(c), ccfg,

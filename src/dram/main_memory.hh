@@ -51,6 +51,9 @@ struct MainMemoryConfig
     bool refreshEnabled = true;
 };
 
+/** The channel each of @p cfg's channels runs. */
+ChannelConfig mmChannelConfig(const MainMemoryConfig &cfg);
+
 /** The DDR5 backing store. */
 class MainMemory : public SimObject
 {

@@ -11,6 +11,9 @@ namespace tsim
 namespace
 {
 
+/** Simulated-time safety net; a run past this is a bug. */
+constexpr Tick maxRuntime = nsToTicks(2.0e9);
+
 std::uint64_t
 pow2Ceil(std::uint64_t v)
 {
@@ -39,6 +42,24 @@ checkTagLimit(const TagArray &tags, const char *store, std::uint64_t end)
 System::System(const SystemConfig &cfg, const WorkloadProfile &workload)
     : _cfg(cfg), _workload(workload)
 {
+    // Refuse what cannot run before building anything: no ops ends
+    // at once with an all-zero report, no MLP never issues and runs
+    // into maxRuntime, and a zero-entry flush buffer stalls every
+    // victim.
+    if (cfg.replay.path.empty()) {
+        fatal_if(cfg.cores.opsPerCore == 0,
+                 "cores.opsPerCore is 0: a synthetic run needs at least "
+                 "one op per core");
+        fatal_if(cfg.cores.mlp == 0,
+                 "cores.mlp is 0: no core could issue a DRAM-cache read");
+    }
+    fatal_if(cfg.dcache.flushEntries == 0 &&
+                 dcacheChannelConfig(cfg.design, cfg.dcache)
+                     .hasFlushBuffer,
+             "dcache.flushEntries is 0, but %s's device has a flush "
+             "buffer",
+             designName(cfg.design));
+
     // Size main memory to cover the physical footprint: the synthetic
     // profiles declare theirs; a replayed trace carries its bound in
     // the .tdtz footer (no decoding needed to read it).
@@ -49,33 +70,20 @@ System::System(const SystemConfig &cfg, const WorkloadProfile &workload)
                  probe.error().c_str());
         space = probe.info().maxLineAddr;
     } else {
-        space = physicalSpaceBytes(workload, cfg.dcacheCapacity);
+        space = physicalSpaceBytes(workload, cfg.dcache.capacityBytes);
     }
     MainMemoryConfig mm_cfg;
     mm_cfg.channels = cfg.mmChannels;
     mm_cfg.capacityBytes =
-        cfg.mmCapacity ? cfg.mmCapacity
-                       : std::max<std::uint64_t>(pow2Ceil(space),
-                                                 1 << 26);
-
-    DramCacheConfig dc_cfg;
-    dc_cfg.capacityBytes = cfg.dcacheCapacity;
-    dc_cfg.ways = cfg.dcacheWays;
-    dc_cfg.channels = cfg.dcacheChannels;
-    dc_cfg.banks = cfg.dcacheBanks;
-    dc_cfg.flushEntries = cfg.flushEntries;
-    dc_cfg.predictor = cfg.predictor;
-    dc_cfg.prefetchDegree = cfg.prefetchDegree;
-    dc_cfg.tdramConditionalColumn = cfg.tdramConditionalColumn;
-    dc_cfg.pagePolicy = cfg.dcachePagePolicy;
+        std::max<std::uint64_t>(pow2Ceil(space), 1 << 26);
 
     _mm = std::make_unique<MainMemory>(_eq, "mm", mm_cfg);
-    _dcache = makeDramCache(_eq, cfg.design, dc_cfg, *_mm);
+    _dcache = makeDramCache(_eq, cfg.design, cfg.dcache, *_mm);
     // The prefetcher reaches prefetchDegree lines past the space.
     // Banshee's page fills need no margin: every limit is page-aligned.
     std::uint64_t dcache_end;
     if (__builtin_add_overflow(
-            space, std::uint64_t{cfg.prefetchDegree} * lineBytes,
+            space, std::uint64_t{cfg.dcache.prefetchDegree} * lineBytes,
             &dcache_end))
         dcache_end = ~std::uint64_t{0};
     checkTagLimit(_dcache->tags(), "DRAM cache", dcache_end);
@@ -87,7 +95,7 @@ System::System(const SystemConfig &cfg, const WorkloadProfile &workload)
         std::vector<std::unique_ptr<AddressGenerator>> gens;
         for (unsigned c = 0; c < cfg.cores.cores; ++c) {
             gens.push_back(makeGenerator(workload, c, cfg.cores.cores,
-                                         cfg.dcacheCapacity));
+                                         cfg.dcache.capacityBytes));
         }
         auto core = std::make_unique<CoreEngine>(
             _eq, "engine", cfg.cores, std::move(gens), *_dcache,
@@ -98,11 +106,12 @@ System::System(const SystemConfig &cfg, const WorkloadProfile &workload)
         _engine = std::move(core);
     }
 
+    // Tracer buffers and checker channels share one layout: dcache
+    // channels, then mm channels, then one controller-level buffer
+    // for demand start/done events.
+    const unsigned dc = _dcache->numChannels();
+    const unsigned mm = _mm->numChannels();
     if (!cfg.tracePath.empty()) {
-        // Buffer layout: dcache channels, then mm channels, then one
-        // controller-level buffer for demand start/done events.
-        const unsigned dc = _dcache->numChannels();
-        const unsigned mm = _mm->numChannels();
         _tracer = std::make_unique<Tracer>(cfg.tracePath, dc + mm + 1);
         for (unsigned c = 0; c < dc; ++c)
             _dcache->channel(c).traceBuf = &_tracer->buffer(c);
@@ -112,28 +121,17 @@ System::System(const SystemConfig &cfg, const WorkloadProfile &workload)
     }
 
     if (cfg.checkProtocol) {
-        // Checker channel ids mirror the tracer buffer layout: dcache
-        // channels, then mm channels, then the demand-only buffer, so
-        // inline and offline audits of one run agree index-for-index.
-        const unsigned dc = _dcache->numChannels();
-        const unsigned mm = _mm->numChannels();
-        _checker = std::make_unique<ProtocolChecker>();
+        _checker = makeChecker(cfg);
         for (unsigned c = 0; c < dc; ++c) {
-            DramChannel &chan = _dcache->channel(c);
-            chan.checker = _checker.get();
-            chan.checkChannel = _checker->addChannel(
-                checkerConfigOf(chan.config()));
+            _dcache->channel(c).checker = _checker.get();
+            _dcache->channel(c).checkChannel = c;
         }
         for (unsigned c = 0; c < mm; ++c) {
-            DramChannel &chan = _mm->channel(c);
-            chan.checker = _checker.get();
-            chan.checkChannel = _checker->addChannel(
-                checkerConfigOf(chan.config()));
+            _mm->channel(c).checker = _checker.get();
+            _mm->channel(c).checkChannel = dc + c;
         }
-        CheckerConfig demand_cfg;
-        demand_cfg.demandOnly = true;
         _dcache->checker = _checker.get();
-        _dcache->checkChannel = _checker->addChannel(demand_cfg);
+        _dcache->checkChannel = dc + mm;
     }
 }
 
@@ -153,12 +151,12 @@ System::run()
         if (!_eq.step())
             panic("event queue drained before the workload finished");
         ++events;
-        if (_eq.curTick() > _cfg.maxRuntime) {
+        if (_eq.curTick() > maxRuntime) {
             _dcache->dumpDebug(stderr);
             _engine->dumpDebug(stderr);
             panic("run exceeded maxRuntime (%0.1f ms simulated) on "
                   "%s/%s",
-                  ticksToNs(_cfg.maxRuntime) * 1e-6,
+                  ticksToNs(maxRuntime) * 1e-6,
                   designName(_cfg.design), _workload.name.c_str());
         }
     }
@@ -276,6 +274,22 @@ System::dumpStats(std::ostream &os) const
     _mm->regStats(g);
     _engine->regStats(g);
     g.dump(os);
+}
+
+std::unique_ptr<ProtocolChecker>
+makeChecker(const SystemConfig &cfg)
+{
+    auto chk = std::make_unique<ProtocolChecker>();
+    const ChannelConfig dc = dcacheChannelConfig(cfg.design, cfg.dcache);
+    for (unsigned c = 0; c < cfg.dcache.channels; ++c)
+        chk->addChannel(dc);
+    // System changes only the channel count and capacity of the
+    // default main memory, and neither enters a channel's config.
+    const ChannelConfig mm = mmChannelConfig(MainMemoryConfig{});
+    for (unsigned c = 0; c < cfg.mmChannels; ++c)
+        chk->addChannel(mm);
+    chk->addDemandChannel();
+    return chk;
 }
 
 SimReport

@@ -29,19 +29,10 @@ namespace tsim
 struct SystemConfig
 {
     Design design = Design::Tdram;
+    DramCacheConfig dcache{};
 
-    std::uint64_t dcacheCapacity = 16ULL << 20;
-    unsigned dcacheWays = 1;
-    unsigned dcacheChannels = 8;
-    unsigned dcacheBanks = 16;
-    unsigned flushEntries = 16;
-    bool predictor = false;
-    unsigned prefetchDegree = 0;
-    bool tdramConditionalColumn = true;  ///< ablation knob
-    PagePolicy dcachePagePolicy = PagePolicy::Close;  ///< ablation
-
+    /** DDR5 channels; main memory is sized to fit the footprint. */
     unsigned mmChannels = 2;
-    std::uint64_t mmCapacity = 0;  ///< 0: sized to fit the footprint
 
     CoreConfig cores{};
     std::uint64_t warmupOpsPerCore = 200000;
@@ -68,9 +59,6 @@ struct SystemConfig
      * plus the demand front-end.
      */
     bool checkProtocol = false;
-
-    /** Simulated-time safety net; a run past this is a bug. */
-    Tick maxRuntime = nsToTicks(2.0e9);
 
     bool operator==(const SystemConfig &) const = default;
 };
@@ -190,6 +178,16 @@ class System
     std::unique_ptr<Tracer> _tracer;
     std::unique_ptr<ProtocolChecker> _checker;
 };
+
+/**
+ * The protocol checker for a run of @p cfg, laid out like the event
+ * tracer's buffers: one channel per DRAM-cache channel
+ * (dcacheChannelConfig), then one per main-memory channel, then the
+ * controller's demand-only buffer. System wires it inline and
+ * checkTrace (src/check/offline.hh) audits a recorded trace with it,
+ * so both modes audit one run against identical rules.
+ */
+std::unique_ptr<ProtocolChecker> makeChecker(const SystemConfig &cfg);
 
 /** Convenience: build + run one configuration. */
 SimReport runOne(const SystemConfig &cfg, const WorkloadProfile &wl);

@@ -448,49 +448,16 @@ TdtzReader::next(ReplayRecord &out)
         return false;
     if (_pos >= _infoBlock.records)
         return false;  // clean EOF, error() stays empty
-    if (!_frameLoaded || _pos < _index[_frameIdx].firstRecord ||
-        _pos >= _index[_frameIdx].firstRecord +
-                    _index[_frameIdx].records) {
-        // Locate the owning frame; the sequential case is always the
-        // next one, so start there before binary-searching.
-        std::uint64_t fi =
-            _frameLoaded && _frameIdx + 1 < _index.size() &&
-                    _index[_frameIdx + 1].firstRecord == _pos
-                ? _frameIdx + 1
-                : static_cast<std::uint64_t>(
-                      std::upper_bound(
-                          _index.begin(), _index.end(), _pos,
-                          [](std::uint64_t p, const TdtzIndexEntry &e) {
-                              return p < e.firstRecord;
-                          }) -
-                      _index.begin() - 1);
-        if (!loadFrame(fi))
+    if (!_frameLoaded || _frameCursor == _frame.size()) {
+        // Reads are sequential and open() checked that the index
+        // lists non-empty frames back to back, so the record is in
+        // the first frame, and after that always in the next one.
+        if (!loadFrame(_frameLoaded ? _frameIdx + 1 : 0))
             return false;
-        _frameCursor =
-            static_cast<std::size_t>(_pos - _index[fi].firstRecord);
+        _frameCursor = 0;
     }
     out = _frame[_frameCursor++];
     ++_pos;
-    return true;
-}
-
-bool
-TdtzReader::seekRecord(std::uint64_t n)
-{
-    if (!_error.empty())
-        return false;
-    if (n > _infoBlock.records)
-        return fail("seek past end of stream");
-    _pos = n;
-    // next() relocates/reloads the frame lazily; invalidate the
-    // cursor so an in-frame seek re-syncs it.
-    if (_frameLoaded && n >= _index[_frameIdx].firstRecord &&
-        n < _index[_frameIdx].firstRecord + _index[_frameIdx].records) {
-        _frameCursor = static_cast<std::size_t>(
-            n - _index[_frameIdx].firstRecord);
-    } else {
-        _frameLoaded = false;
-    }
     return true;
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Compressed, seekable request-trace container (.tdtz, DESIGN.md §14).
+ * Compressed request-trace container (.tdtz, DESIGN.md §14).
  *
  * Where a .tdt file records every *device event* of one run (40 bytes
  * each, exact replay of what happened), a .tdtz file records only the
@@ -16,8 +16,8 @@
  *    a flipped byte anywhere in a frame is rejected at decode time.
  *  - The footer holds a frame index (file offset, first record,
  *    count) plus stream totals (record count, footprint bound, time
- *    span), so readers can seek to any record in O(frame) work and
- *    size main memory without decoding the stream.
+ *    span), so readers can validate the frame layout and size main
+ *    memory without decoding the stream.
  *  - Frame payloads are zstd-compressed when the build found zstd
  *    (codec 1); otherwise the varint payload is stored raw (codec 0).
  *    The record-level content is identical either way — the codec
@@ -52,8 +52,7 @@ struct ReplayRecord
     bool isWrite = false;
     /**
      * Ticks since the previous record's issue (first record: since
-     * tick 0). Absolute issue time is the running sum, so a decoder
-     * that seeks mid-stream still gets exact inter-arrival spacing.
+     * tick 0). Absolute issue time is the running sum.
      */
     Tick delta = 0;
 
@@ -219,7 +218,7 @@ class TdtzWriter
 };
 
 /**
- * Streaming .tdtz reader with O(frame) random access.
+ * Streaming .tdtz reader: one decoded frame in memory at a time.
  *
  * open() validates the header, footer, and index (rejecting
  * truncated files); next() decodes frame-by-frame, verifying each
@@ -243,13 +242,6 @@ class TdtzReader
      * (error() distinguishes: empty string means clean EOF).
      */
     bool next(ReplayRecord &out);
-
-    /**
-     * Position the cursor so the next next() returns record @p n
-     * (frame-index seek + intra-frame skip). False on error or
-     * n > record count (n == count positions at EOF).
-     */
-    bool seekRecord(std::uint64_t n);
 
     /** Stream index of the record the next next() will return. */
     std::uint64_t position() const { return _pos; }

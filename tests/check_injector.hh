@@ -12,6 +12,7 @@
 #ifndef TSIM_TESTS_CHECK_INJECTOR_HH
 #define TSIM_TESTS_CHECK_INJECTOR_HH
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -66,7 +67,11 @@ struct AuditResult
 class CheckStream
 {
   public:
-    explicit CheckStream(const CheckerConfig &cfg) : _cfg(cfg) {}
+    /** A stream on a channel of @p cfg; nullopt: the controller's
+     *  demand-only buffer (ProtocolChecker::addDemandChannel). */
+    explicit CheckStream(std::optional<ChannelConfig> cfg)
+        : _cfg(cfg.value_or(ChannelConfig{})), _demandOnly(!cfg)
+    {}
 
     const TimingParams &timing() const { return _cfg.timing; }
 
@@ -199,7 +204,10 @@ class CheckStream
     audit() const
     {
         ProtocolChecker chk;
-        chk.addChannel(_cfg);
+        if (_demandOnly)
+            chk.addDemandChannel();
+        else
+            chk.addChannel(_cfg);
         for (const TraceRecord &r : _records)
             chk.onRecord(r);
         chk.finish();
@@ -211,7 +219,8 @@ class CheckStream
     }
 
   private:
-    CheckerConfig _cfg;
+    ChannelConfig _cfg;
+    bool _demandOnly;
     std::vector<TraceRecord> _records;
     std::uint64_t _seq = 0;
 };

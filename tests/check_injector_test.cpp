@@ -11,77 +11,63 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <optional>
 #include <ostream>
 #include <set>
 #include <string>
 
 #include "check_injector.hh"
+#include "dcache/dram_cache.hh"
 
 namespace tsim
 {
 namespace
 {
 
-CheckerConfig
+// The real devices come from the one device description; only the
+// synthetic variants below edit a field by hand.
+ChannelConfig
 convCfg()
 {
-    CheckerConfig c;
-    c.timing = hbm3CacheTimings();
-    return c;
+    return dcacheChannelConfig(Design::CascadeLake, DramCacheConfig{});
 }
 
-CheckerConfig
+ChannelConfig
 openCfg()
 {
-    CheckerConfig c = convCfg();
-    c.openPage = true;
-    return c;
+    DramCacheConfig dc;
+    dc.pagePolicy = PagePolicy::Open;
+    return dcacheChannelConfig(Design::CascadeLake, dc);
 }
 
-CheckerConfig
+ChannelConfig
 tdramCfg()
 {
-    CheckerConfig c = convCfg();
-    c.inDramTags = true;
-    c.conditionalColumn = true;
-    c.enableProbe = true;
-    c.hasFlushBuffer = true;
-    c.flushEntries = 16;
-    c.opportunisticDrain = true;
-    return c;
+    return dcacheChannelConfig(Design::Tdram, DramCacheConfig{});
 }
 
-CheckerConfig
+ChannelConfig
 noProbeCfg()
 {
-    CheckerConfig c = tdramCfg();
-    c.enableProbe = false;
-    return c;
+    return dcacheChannelConfig(Design::TdramNoProbe, DramCacheConfig{});
 }
 
-CheckerConfig
+/** A TDRAM device that cannot unload its flush buffer on its own. */
+ChannelConfig
 noDrainCfg()
 {
-    CheckerConfig c = tdramCfg();
+    ChannelConfig c = tdramCfg();
     c.opportunisticDrain = false;
     return c;
 }
 
-CheckerConfig
-demandCfg()
-{
-    CheckerConfig c;
-    c.demandOnly = true;
-    return c;
-}
-
-CheckerConfig
+/** Banshee with two fill writes per channel per group. */
+ChannelConfig
 bansheeCfg()
 {
-    CheckerConfig c = convCfg();
-    c.remapTable = true;
+    ChannelConfig c =
+        dcacheChannelConfig(Design::Banshee, DramCacheConfig{});
     c.fillGroupLines = 2;
-    c.pageBytes = 4096;
     return c;
 }
 
@@ -94,7 +80,7 @@ struct Injection
 {
     const char *name;
     const char *rule;
-    CheckerConfig (*config)();
+    ChannelConfig (*config)();  ///< null: the demand-only buffer
     void (*build)(CheckStream &);
     void (*mutate)(CheckStream &);
 };
@@ -254,7 +240,7 @@ const Injection kInjections[] = {
     {"ProbeOnProbelessDevice", "probe-disabled", noProbeCfg,
      [](CheckStream &s) { s.actRd(0, 0, true, true, false); },
      [](CheckStream &s) { s.probe(2 * s.timing().clkPeriod, 1); }},
-    {"ResponseWithoutStart", "demand-pairing", demandCfg,
+    {"ResponseWithoutStart", "demand-pairing", nullptr,
      [](CheckStream &s) {
          s.push(TraceKind::DemandStart, 0, 64, traceBankNone, 0, 0);
          s.push(TraceKind::DemandDone, 50000, 64, traceBankNone, 50000,
@@ -325,13 +311,15 @@ TEST_P(InjectionMatrix, BaselineCleanMutationFlagged)
     const Injection &inj = GetParam();
     ASSERT_NE(findCheckRule(inj.rule), nullptr) << inj.rule;
 
-    CheckStream clean(inj.config());
+    const auto cfg = inj.config ? std::optional(inj.config())
+                                : std::nullopt;
+    CheckStream clean(cfg);
     inj.build(clean);
     const AuditResult base = clean.audit();
     ASSERT_TRUE(base.clean())
         << "baseline must be protocol-legal:\n" << base.describe();
 
-    CheckStream bad(inj.config());
+    CheckStream bad(cfg);
     inj.build(bad);
     inj.mutate(bad);
     const AuditResult hit = bad.audit();

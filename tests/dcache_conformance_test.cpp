@@ -54,8 +54,8 @@ conformanceCfg(Design design, PagePolicy policy)
 {
     SystemConfig cfg;
     cfg.design = design;
-    cfg.dcacheCapacity = 4ULL << 20;
-    cfg.dcachePagePolicy = policy;
+    cfg.dcache.capacityBytes = 4ULL << 20;
+    cfg.dcache.pagePolicy = policy;
     cfg.cores.cores = 2;
     cfg.cores.opsPerCore = 1500;
     cfg.cores.llcBytes = 256 * 1024;

@@ -334,7 +334,7 @@ tracedCfg(const std::string &path)
 {
     SystemConfig cfg;
     cfg.design = Design::Tdram;
-    cfg.dcacheCapacity = 4ULL << 20;
+    cfg.dcache.capacityBytes = 4ULL << 20;
     cfg.cores.cores = 2;
     cfg.cores.opsPerCore = 1500;
     cfg.cores.llcBytes = 256 * 1024;

@@ -19,7 +19,7 @@ smallCfg(Design d)
 {
     SystemConfig cfg;
     cfg.design = d;
-    cfg.dcacheCapacity = 4ULL << 20;
+    cfg.dcache.capacityBytes = 4ULL << 20;
     cfg.cores.cores = 4;
     cfg.cores.opsPerCore = 4000;
     cfg.cores.llcBytes = 512 * 1024;
@@ -189,7 +189,7 @@ TEST(PaperOrdering, IdealBoundsTdramRuntime)
 TEST(FlushBuffer, BoundedOccupancyInRealRuns)
 {
     SystemConfig cfg = smallCfg(Design::Tdram);
-    cfg.flushEntries = 16;
+    cfg.dcache.flushEntries = 16;
     System sys(cfg, findWorkload("is.D"));
     SimReport r = sys.run();
     EXPECT_LE(r.flushMaxOcc, 16.0);

@@ -31,50 +31,33 @@ tmpPath(const std::string &name)
     return ::testing::TempDir() + name;
 }
 
-SystemConfig
-checkedCfg(Design design, PagePolicy policy)
-{
-    SystemConfig cfg;
-    cfg.design = design;
-    cfg.dcacheCapacity = 4ULL << 20;
-    cfg.dcachePagePolicy = policy;
-    cfg.cores.cores = 2;
-    cfg.cores.opsPerCore = 1500;
-    cfg.cores.llcBytes = 256 * 1024;
-    cfg.warmupOpsPerCore = 10000;
-    cfg.checkProtocol = true;
-    return cfg;
-}
+/**
+ * One audited run: a design, a page policy, and whether TDRAM's
+ * conditional column is on (the §III-C3 ablation turns it off).
+ */
+using CleanCase = std::tuple<Design, PagePolicy, bool>;
 
-std::string
-offlineDeviceOf(Design design)
-{
-    switch (design) {
-      case Design::Tdram: return "tdram";
-      case Design::TdramNoProbe: return "tdram-noprobe";
-      case Design::Ndc: return "ndc";
-      case Design::CascadeLake: return "cl";
-      case Design::Alloy: return "alloy";
-      case Design::Bear: return "bear";
-      case Design::TicToc: return "tictoc";
-      case Design::Banshee: return "banshee";
-      default: return "";
-    }
-}
-
-class CleanRun
-    : public ::testing::TestWithParam<std::tuple<Design, PagePolicy>>
+class CleanRun : public ::testing::TestWithParam<CleanCase>
 {
 };
 
 TEST_P(CleanRun, ReportsZeroViolationsInlineAndOffline)
 {
-    const auto [design, policy] = GetParam();
-    SystemConfig cfg = checkedCfg(design, policy);
+    const auto [design, policy, conditional] = GetParam();
+    SystemConfig cfg;
+    cfg.design = design;
+    cfg.dcache.capacityBytes = 4ULL << 20;
+    cfg.dcache.pagePolicy = policy;
+    cfg.dcache.tdramConditionalColumn = conditional;
+    cfg.cores.cores = 2;
+    cfg.cores.opsPerCore = 1500;
+    cfg.cores.llcBytes = 256 * 1024;
+    cfg.warmupOpsPerCore = 10000;
+    cfg.checkProtocol = true;
     const std::string trace_path =
         tmpPath(std::string("check_clean_") + designName(design) +
                 (policy == PagePolicy::Open ? "_open" : "_close") +
-                ".tdt");
+                (conditional ? "" : "_nocc") + ".tdt");
     cfg.tracePath = trace_path;
 
     System sys(cfg, findWorkload("is.C"));
@@ -86,16 +69,11 @@ TEST_P(CleanRun, ReportsZeroViolationsInlineAndOffline)
         << ProtocolChecker::formatViolation(
                sys.checker()->violations().front());
 
-    // The same stream audited offline through the device preset must
+    // The same stream audited offline from the same SystemConfig must
     // agree: zero violations over the same number of events.
     TraceLoadResult res = loadTrace(trace_path);
     ASSERT_TRUE(res.ok) << res.error;
-    OfflineCheckOptions opts;
-    opts.device = offlineDeviceOf(design);
-    opts.openPage = policy == PagePolicy::Open;
-    opts.channels = cfg.dcacheChannels;
-    opts.mmChannels = cfg.mmChannels;
-    CheckReport rep = checkTrace(res.trace, opts);
+    CheckReport rep = checkTrace(res.trace, cfg);
     ASSERT_TRUE(rep.error.empty()) << rep.error;
     ASSERT_TRUE(rep.ok)
         << ProtocolChecker::formatViolation(rep.violations.front());
@@ -103,26 +81,36 @@ TEST_P(CleanRun, ReportsZeroViolationsInlineAndOffline)
     EXPECT_EQ(rep.violationCount, 0u);
 }
 
-std::string
-cleanRunName(
-    const ::testing::TestParamInfo<std::tuple<Design, PagePolicy>> &info)
+std::vector<CleanCase>
+cleanCases()
 {
-    std::string name = designName(std::get<0>(info.param));
-    name += std::get<1>(info.param) == PagePolicy::Open ? "Open"
-                                                        : "Close";
+    std::vector<CleanCase> cases;
+    for (Design d : {Design::Tdram, Design::CascadeLake, Design::Ndc,
+                     Design::Alloy, Design::TicToc, Design::Banshee,
+                     Design::Bear, Design::TdramNoProbe, Design::Ideal,
+                     Design::NoCache}) {
+        for (PagePolicy pp : {PagePolicy::Close, PagePolicy::Open})
+            cases.emplace_back(d, pp, true);
+    }
+    cases.emplace_back(Design::Tdram, PagePolicy::Close, false);
+    return cases;
+}
+
+std::string
+cleanRunName(const ::testing::TestParamInfo<CleanCase> &info)
+{
+    const auto [design, policy, conditional] = info.param;
+    std::string name = designName(design);
+    std::erase(name, '-');
+    name += policy == PagePolicy::Open ? "Open" : "Close";
+    if (!conditional)
+        name += "NoConditionalColumn";
     return name;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllDevicesAndPolicies, CleanRun,
-    ::testing::Combine(::testing::Values(Design::Tdram,
-                                         Design::CascadeLake,
-                                         Design::Ndc, Design::Alloy,
-                                         Design::TicToc,
-                                         Design::Banshee),
-                       ::testing::Values(PagePolicy::Close,
-                                         PagePolicy::Open)),
-    cleanRunName);
+INSTANTIATE_TEST_SUITE_P(AllDevicesAndPolicies, CleanRun,
+                         ::testing::ValuesIn(cleanCases()),
+                         cleanRunName);
 
 TEST(CheckRules, TableIsWellFormed)
 {
@@ -148,7 +136,7 @@ class RelaxedChannel
     static constexpr std::uint64_t kCap = 1ULL << 20;
 
     RelaxedChannel(const ChannelConfig &relaxed,
-                   const CheckerConfig &strict)
+                   const ChannelConfig &strict)
         : _map(kCap, 1, relaxed.banks, 1024),
           _chan(_eq, "chx", relaxed, _map), _banks(relaxed.banks)
     {
@@ -243,7 +231,7 @@ TEST(CheckMutation, RelaxedActSpacingIsFlagged)
     ChannelConfig relaxed = conventionalCfg();
     relaxed.timing.tRRD -= nsToTicks(0.5);
     relaxed.timing.burstScale = 0.75;
-    CheckerConfig strict = checkerConfigOf(conventionalCfg());
+    const ChannelConfig strict = conventionalCfg();
     RelaxedChannel h(relaxed, strict);
     for (unsigned b = 0; b < 4; ++b)
         h.read(h.addrIn(b, 0));
@@ -256,7 +244,7 @@ TEST(CheckMutation, RelaxedTrasIsFlagged)
 {
     ChannelConfig relaxed = conventionalCfg();
     relaxed.timing.tRAS -= 1;  // shortens readBankBusy by 1 tick
-    CheckerConfig strict = checkerConfigOf(conventionalCfg());
+    const ChannelConfig strict = conventionalCfg();
     RelaxedChannel h(relaxed, strict);
     h.read(h.addrIn(0, 0));
     h.read(h.addrIn(0, 1));  // same bank: back-to-back bank cycle
@@ -272,7 +260,7 @@ TEST(CheckMutation, RelaxedTxawIsFlagged)
     // (a distinct bank, so no bank-cycle constraint interferes)
     // issues one tick inside the strict tXAW.
     relaxed.timing.tXAW -= 1;
-    CheckerConfig strict = checkerConfigOf(conventionalCfg());
+    const ChannelConfig strict = conventionalCfg();
     RelaxedChannel h(relaxed, strict);
     for (unsigned b = 0; b < 8; ++b)
         h.read(h.addrIn(b, 0));
@@ -288,9 +276,8 @@ TEST(CheckMutation, RelaxedRefreshWindowIsFlagged)
     // The relaxed device believes refresh completes 2 ns early and
     // resumes CA traffic inside the strict tRFC window.
     relaxed.timing.tRFC -= nsToTicks(2);
-    ChannelConfig strict_chan = conventionalCfg();
-    strict_chan.refreshEnabled = true;
-    CheckerConfig strict = checkerConfigOf(strict_chan);
+    ChannelConfig strict = conventionalCfg();
+    strict.refreshEnabled = true;
     RelaxedChannel h(relaxed, strict);
 
     // Demand arriving inside the first refresh window (at tREFI) is

@@ -26,7 +26,7 @@ tinyCfg(Design d)
 {
     SystemConfig cfg;
     cfg.design = d;
-    cfg.dcacheCapacity = 2ULL << 20;
+    cfg.dcache.capacityBytes = 2ULL << 20;
     cfg.cores.cores = 2;
     cfg.cores.opsPerCore = 1200;
     cfg.cores.llcBytes = 256 * 1024;

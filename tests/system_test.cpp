@@ -20,7 +20,7 @@ tinyCfg(Design d)
 {
     SystemConfig cfg;
     cfg.design = d;
-    cfg.dcacheCapacity = 2ULL << 20;
+    cfg.dcache.capacityBytes = 2ULL << 20;
     cfg.cores.cores = 2;
     cfg.cores.opsPerCore = 1500;
     cfg.cores.llcBytes = 256 * 1024;
@@ -82,7 +82,7 @@ TEST(System, PredictorAccuracyAbsentWithoutPredictor)
               std::string::npos);
 
     SystemConfig cfg = tinyCfg(Design::CascadeLake);
-    cfg.predictor = true;
+    cfg.dcache.predictor = true;
     SimReport p = runOne(cfg, findWorkload("is.C"));
     EXPECT_TRUE(p.predictorPresent);
     EXPECT_GT(p.predictorAccuracy, 0.0);
@@ -98,12 +98,12 @@ TEST(System, MainMemorySizedToFootprint)
     SystemConfig cfg = tinyCfg(Design::NoCache);
     System sys(cfg, findWorkload("ft.D"));
     const std::uint64_t space =
-        physicalSpaceBytes(findWorkload("ft.D"), cfg.dcacheCapacity);
+        physicalSpaceBytes(findWorkload("ft.D"), cfg.dcache.capacityBytes);
     // Every generated address must be within main memory; run a bit.
     SimReport r = sys.run();
     EXPECT_GT(r.runtimeTicks, 0u);
     EXPECT_GE(space, footprintBytes(findWorkload("ft.D"),
-                                    cfg.dcacheCapacity));
+                                    cfg.dcache.capacityBytes));
 }
 
 TEST(System, DumpStatsProducesOutput)
@@ -135,9 +135,9 @@ TEST(System, StatGroupCsvExport)
 TEST(System, ConfigurationKnobsReachTheCache)
 {
     SystemConfig cfg = tinyCfg(Design::Tdram);
-    cfg.dcacheWays = 4;
-    cfg.flushEntries = 8;
-    cfg.prefetchDegree = 2;
+    cfg.dcache.ways = 4;
+    cfg.dcache.flushEntries = 8;
+    cfg.dcache.prefetchDegree = 2;
     System sys(cfg, findWorkload("is.C"));
     EXPECT_EQ(sys.dcache().tags().ways(), 4u);
     EXPECT_EQ(sys.dcache().channel(0).flushBuffer().capacity(), 8u);

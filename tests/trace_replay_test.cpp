@@ -129,51 +129,6 @@ TEST(Tdtz, ZstdAndFallbackAgreeAtRecordLevel)
     EXPECT_EQ(readAll(pz), readAll(pv));
 }
 
-TEST(Tdtz, SeekAcrossFrameBoundaries)
-{
-    constexpr std::uint32_t frame = 100;
-    const auto recs = makeStream(1050);  // last frame half full
-    const std::string path = tmpPath("seek.tdtz");
-    writeStream(path, recs, TdtzCodec::Varint, frame);
-
-    TdtzReader r;
-    ASSERT_TRUE(r.open(path));
-    // Boundaries, mid-frame, backwards, and the tail.
-    const std::uint64_t targets[] = {99,  100, 101, 0,   999,
-                                     500, 1,   199, 1049};
-    ReplayRecord rec;
-    for (std::uint64_t n : targets) {
-        ASSERT_TRUE(r.seekRecord(n)) << "seek " << n << ": "
-                                     << r.error();
-        EXPECT_EQ(r.position(), n);
-        ASSERT_TRUE(r.next(rec));
-        EXPECT_EQ(rec, recs[n]) << "record " << n;
-    }
-    // n == count positions at EOF; past it is an error.
-    EXPECT_TRUE(r.seekRecord(recs.size()));
-    EXPECT_FALSE(r.next(rec));
-    EXPECT_TRUE(r.ok()) << r.error();
-    EXPECT_FALSE(r.seekRecord(recs.size() + 1));
-}
-
-TEST(Tdtz, SequentialReadAfterSeekContinuesCorrectly)
-{
-    const auto recs = makeStream(600);
-    const std::string path = tmpPath("seekseq.tdtz");
-    writeStream(path, recs, TdtzCodec::Varint, 128);
-
-    TdtzReader r;
-    ASSERT_TRUE(r.open(path));
-    ASSERT_TRUE(r.seekRecord(250));
-    ReplayRecord rec;
-    for (std::uint64_t n = 250; n < recs.size(); ++n) {
-        ASSERT_TRUE(r.next(rec));
-        EXPECT_EQ(rec, recs[n]) << "record " << n;
-    }
-    EXPECT_FALSE(r.next(rec));
-    EXPECT_TRUE(r.ok());
-}
-
 TEST(Tdtz, RejectsTruncatedFile)
 {
     const auto recs = makeStream(2000);

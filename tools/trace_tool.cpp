@@ -16,11 +16,12 @@
  *       swimlane per (channel, bank). Default output: stdout.
  *   trace_tool dump <trace.tdt> [--limit N]
  *       Human-readable record listing (debugging).
- *   trace_tool check <trace.tdt> [--device D] [--page P] ...
+ *   trace_tool check <trace.tdt> [--device DESIGN] [--page P] ...
  *       Offline protocol/invariant audit (DESIGN.md §11): replay the
  *       trace through the same rule engine the inline checker runs
  *       and report the first violations with per-channel context.
- *       Exit 0 when clean; exit 1 on any violation.
+ *       DESIGN is a design name as tdram_cli spells it (default
+ *       TDRAM). Exit 0 when clean; exit 1 on any violation.
  *   trace_tool convert <in> <out.tdtz> [--codec zstd|none]
  *                      [--frame-records N]
  *       Build a compressed replay container (DESIGN.md §14). The
@@ -43,6 +44,7 @@
 
 #include "check/offline.hh"
 #include "sim/logging.hh"
+#include "system/system.hh"
 #include "trace/tdtz.hh"
 #include "trace/trace.hh"
 #include "trace/trace_analysis.hh"
@@ -62,8 +64,7 @@ usage()
         "  diff <a.tdt> <b.tdt>\n"
         "  export <trace.tdt> [out.json]\n"
         "  dump <trace.tdt> [--limit N]\n"
-        "  check <trace.tdt> [--device tdram|tdram-noprobe|ndc|cl|"
-        "alloy|bear]\n"
+        "  check <trace.tdt> [--device DESIGN (default TDRAM)]\n"
         "        [--page open|close] [--channels N] [--mm-channels N]"
         "\n"
         "        [--banks N] [--flush-entries N] [--context N]\n"
@@ -170,7 +171,8 @@ cmdCheck(int argc, char **argv)
         return 0;
     }
 
-    OfflineCheckOptions opts;
+    // The traced run's configuration, as far as the audit needs it.
+    SystemConfig cfg;
     unsigned context = 8;
     for (int i = 3; i < argc; ++i) {
         const std::string name = argv[i];
@@ -182,22 +184,22 @@ cmdCheck(int argc, char **argv)
                 parseCount(name.c_str(), value, UINT_MAX));
         };
         if (name == "--device") {
-            opts.device = value;
+            cfg.design = parseDesign(value);
         } else if (name == "--page") {
             if (std::strcmp(value, "open") == 0)
-                opts.openPage = true;
+                cfg.dcache.pagePolicy = PagePolicy::Open;
             else if (std::strcmp(value, "close") == 0)
-                opts.openPage = false;
+                cfg.dcache.pagePolicy = PagePolicy::Close;
             else
                 usage();
         } else if (name == "--channels") {
-            opts.channels = num();
+            cfg.dcache.channels = num();
         } else if (name == "--mm-channels") {
-            opts.mmChannels = num();
+            cfg.mmChannels = num();
         } else if (name == "--banks") {
-            opts.banks = num();
+            cfg.dcache.banks = num();
         } else if (name == "--flush-entries") {
-            opts.flushEntries = num();
+            cfg.dcache.flushEntries = num();
         } else if (name == "--context") {
             context = num();
         } else {
@@ -206,7 +208,7 @@ cmdCheck(int argc, char **argv)
     }
 
     const TraceFile t = loadOrDie(argv[2]);
-    const CheckReport rep = checkTrace(t, opts);
+    const CheckReport rep = checkTrace(t, cfg);
     if (!rep.error.empty()) {
         std::fprintf(stderr, "trace_tool: %s\n", rep.error.c_str());
         return 2;
@@ -214,14 +216,14 @@ cmdCheck(int argc, char **argv)
     if (rep.ok) {
         std::printf("clean: %llu events, 0 violations (device=%s)\n",
                     static_cast<unsigned long long>(rep.events),
-                    opts.device.c_str());
+                    designName(cfg.design));
         return 0;
     }
 
     std::printf("%llu violation(s) in %llu events (device=%s)\n",
                 static_cast<unsigned long long>(rep.violationCount),
                 static_cast<unsigned long long>(rep.events),
-                opts.device.c_str());
+                designName(cfg.design));
     // First violation with the preceding same-channel records: the
     // rule engine keyed the stored index to the record's position in
     // emission (seq) order, which is exactly t.records order.
