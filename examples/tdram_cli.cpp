@@ -18,7 +18,8 @@
  * print one row per run, so they reject run's --json and --stats.
  *
  * Common options: --ops N, --warmup N, --seed N, --capacity MiB,
- * --ways W, --no-probe, --open-page, --predictor.
+ * --ways W, --open-page, --predictor (refused by run and sweep for a
+ * design without a hit predictor; compare skips those designs).
  */
 
 #include <climits>
@@ -46,7 +47,6 @@ struct CliOptions
     std::uint64_t seed = 1;
     std::uint64_t capacityMib = 16;
     unsigned ways = 1;
-    bool noProbe = false;
     bool openPage = false;
     bool predictor = false;
     bool fullStats = false;
@@ -69,7 +69,7 @@ usage()
         "  compare <workload>\n"
         "  sweep <workload> <design> <param> <v1,v2,...>\n"
         "options: --ops N --warmup N --seed N --capacity MiB\n"
-        "         --ways W --no-probe --open-page --predictor\n"
+        "         --ways W --open-page --predictor\n"
         "         --stats --csv --json --trace PATH --check\n"
         "         --replay FILE.tdtz --replay-mode timed|afap\n"
         "         --replay-mlp N\n"
@@ -84,7 +84,9 @@ usage()
         "  the controller accepts. --replay-mlp caps outstanding\n"
         "  reads (0 = unlimited).\n"
         "  --check audits every command with the inline protocol\n"
-        "  checker (exit 1 on any violation)\n");
+        "  checker (exit 1 on any violation)\n"
+        "  --predictor: MAP-I on CascadeLake/Alloy/BEAR/TicToc (compare\n"
+        "  skips other designs; run and sweep refuse them)\n");
     std::exit(1);
 }
 
@@ -109,8 +111,6 @@ parseOptions(int argc, char **argv, int first)
             o.capacityMib = next(UINT64_MAX >> 20);  // shifted to bytes
         } else if (a == "--ways") {
             o.ways = static_cast<unsigned>(next(UINT_MAX));
-        } else if (a == "--no-probe") {
-            o.noProbe = true;
         } else if (a == "--open-page") {
             o.openPage = true;
         } else if (a == "--predictor") {
@@ -163,16 +163,25 @@ rejectRunOnly(const CliOptions &o, const char *cmd)
     }
 }
 
+/** run and sweep name their design: --predictor must apply to it. */
+void
+rejectPredictorWithout(const CliOptions &o, Design d)
+{
+    if (o.predictor && !designHasPredictor(d)) {
+        std::fprintf(stderr, "--predictor: %s has no hit predictor\n",
+                     designName(d));
+        usage();
+    }
+}
+
 SystemConfig
 makeConfig(const CliOptions &o, Design d)
 {
     SystemConfig cfg;
-    cfg.design = o.noProbe && d == Design::Tdram
-                     ? Design::TdramNoProbe
-                     : d;
+    cfg.design = d;
     cfg.dcache.capacityBytes = o.capacityMib << 20;
     cfg.dcache.ways = o.ways;
-    cfg.dcache.predictor = o.predictor;
+    cfg.dcache.predictor = o.predictor && designHasPredictor(d);
     cfg.dcache.pagePolicy =
         o.openPage ? PagePolicy::Open : PagePolicy::Close;
     cfg.cores.opsPerCore = o.ops;
@@ -262,6 +271,7 @@ cmdRun(int argc, char **argv)
     const CliOptions o = parseOptions(argc, argv, 4);
     const WorkloadProfile &wl = findWorkload(argv[2]);
     const Design d = parseDesign(argv[3]);
+    rejectPredictorWithout(o, d);
 
     SystemConfig cfg = makeConfig(o, d);
     cfg.tracePath = o.tracePath;
@@ -343,6 +353,7 @@ cmdSweep(int argc, char **argv)
     rejectRunOnly(o, "sweep");
     const WorkloadProfile &wl = findWorkload(argv[2]);
     const Design d = parseDesign(argv[3]);
+    rejectPredictorWithout(o, d);
     const std::string param = argv[4];
 
     // capacity_mib is shifted to bytes; every other param is unsigned.

@@ -2,12 +2,13 @@
  * @file
  * SRAM cache model (private core caches and the shared LLC).
  *
- * Functional set-associative LRU writeback cache with a fixed access
- * latency. The hierarchy in front of the DRAM cache only needs to
- * (a) filter the core's address stream, (b) produce writebacks of
- * dirty lines (which become the DRAM cache's write-demand stream)
- * and (c) add its latency to each access — a full coherence model
- * is unnecessary for the paper's single-socket memory-side study.
+ * Functional set-associative LRU writeback cache; CoreEngine adds
+ * each level's fixed latency (CoreConfig). The hierarchy in front of
+ * the DRAM cache only needs to (a) filter the core's address stream,
+ * (b) produce writebacks of dirty lines (which become the DRAM cache's
+ * write-demand stream) and (c) cost its latency per access — a full
+ * coherence model is unnecessary for the paper's single-socket
+ * memory-side study.
  */
 
 #ifndef TSIM_CACHE_SRAM_CACHE_HH
@@ -38,13 +39,9 @@ class SramCache
      * @param name        Stat prefix.
      * @param capacity    Bytes of data storage.
      * @param ways        Associativity.
-     * @param hit_latency Latency added to every access that probes
-     *                    this level.
      */
-    SramCache(std::string name, std::uint64_t capacity, unsigned ways,
-              Tick hit_latency)
-        : _name(std::move(name)), _tags(capacity, ways),
-          _hitLatency(hit_latency)
+    SramCache(std::string name, std::uint64_t capacity, unsigned ways)
+        : _name(std::move(name)), _tags(capacity, ways)
     {}
 
     /**
@@ -81,7 +78,6 @@ class SramCache
     /** True if the line is resident (no LRU side effects). */
     bool contains(Addr addr) const { return _tags.peek(addr).hit; }
 
-    Tick hitLatency() const { return _hitLatency; }
     const std::string &name() const { return _name; }
     const TagArray &tags() const { return _tags; }
 
@@ -119,7 +115,6 @@ class SramCache
   private:
     std::string _name;
     TagArray _tags;
-    Tick _hitLatency;
 };
 
 } // namespace tsim

@@ -32,10 +32,6 @@ class CascadeLakeCtrl : public DramCacheCtrl
     CascadeLakeCtrl(EventQueue &eq, std::string name, Design design,
                     const DramCacheConfig &cfg, MainMemory &mm);
 
-    const MapIPredictor &predictor() const { return _pred; }
-
-    bool hasPredictor() const override { return _cfg.predictor; }
-
     double
     predictorAccuracy() const override
     {

@@ -3,43 +3,51 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 
 namespace tsim
 {
 
+namespace
+{
+
+/** designName() of each Design, in enum order. */
+constexpr const char *designNames[] = {
+    "CascadeLake", "Alloy",   "BEAR",    "NDC",    "TDRAM",
+    "TDRAM-noprobe", "Ideal", "NoCache", "TicToc", "Banshee"};
+static_assert(std::size(designNames) ==
+              static_cast<std::size_t>(Design::Banshee) + 1);
+
+} // namespace
+
 const char *
 designName(Design d)
 {
-    switch (d) {
-      case Design::CascadeLake: return "CascadeLake";
-      case Design::Alloy: return "Alloy";
-      case Design::Bear: return "BEAR";
-      case Design::Ndc: return "NDC";
-      case Design::Tdram: return "TDRAM";
-      case Design::TdramNoProbe: return "TDRAM-noprobe";
-      case Design::Ideal: return "Ideal";
-      case Design::NoCache: return "NoCache";
-      case Design::TicToc: return "TicToc";
-      case Design::Banshee: return "Banshee";
-      default: return "unknown";
+    const auto i = static_cast<std::size_t>(d);
+    return i < std::size(designNames) ? designNames[i] : "unknown";
+}
+
+bool
+findDesign(const std::string &name, Design &d)
+{
+    for (std::size_t i = 0; i < std::size(designNames); ++i) {
+        if (name == designNames[i]) {
+            d = static_cast<Design>(i);
+            return true;
+        }
     }
+    return false;
 }
 
 Design
 parseDesign(const std::string &name)
 {
-    const Design all[] = {Design::CascadeLake, Design::Alloy,
-                          Design::Bear,        Design::Ndc,
-                          Design::Tdram,       Design::TdramNoProbe,
-                          Design::Ideal,       Design::NoCache,
-                          Design::TicToc,      Design::Banshee};
-    for (Design d : all) {
-        if (name == designName(d))
-            return d;
-    }
+    Design d{};
+    if (findDesign(name, d))
+        return d;
     std::fprintf(stderr, "unknown design '%s'; one of:", name.c_str());
-    for (Design d : all)
-        std::fprintf(stderr, " %s", designName(d));
+    for (const char *n : designNames)
+        std::fprintf(stderr, " %s", n);
     std::fprintf(stderr, "\n");
     std::exit(1);
 }

@@ -60,6 +60,12 @@ const char *designName(Design d);
  */
 Design parseDesign(const std::string &name);
 
+/** Set @p d to the design designName() spells @p name; false if none. */
+bool findDesign(const std::string &name, Design &d);
+
+/** True for the CascadeLakeCtrl family, which has a MAP-I predictor. */
+bool designHasPredictor(Design d);
+
 /** Configuration shared by every DRAM-cache design. */
 struct DramCacheConfig
 {
@@ -128,10 +134,12 @@ class DramCacheCtrl : public SimObject
      */
     virtual void warmAccess(Addr addr, bool is_write);
 
-    Design design() const { return _design; }
-
     /** True when the design consults a hit/miss predictor (§V-D). */
-    virtual bool hasPredictor() const { return false; }
+    bool
+    hasPredictor() const
+    {
+        return _cfg.predictor && designHasPredictor(_design);
+    }
 
     /** Prediction accuracy when a predictor is configured (§V-D). */
     virtual double predictorAccuracy() const { return 0.0; }
@@ -159,12 +167,6 @@ class DramCacheCtrl : public SimObject
     {
         return static_cast<std::uint64_t>(
             outcomes[static_cast<unsigned>(o)].value());
-    }
-
-    std::uint64_t demandCount() const
-    {
-        return static_cast<std::uint64_t>(demandReads.value() +
-                                          demandWrites.value());
     }
 
     /** DRAM-cache miss ratio over all demands. */

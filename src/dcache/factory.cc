@@ -73,6 +73,13 @@ dcacheChannelConfig(Design design, const DramCacheConfig &cfg)
     return c;
 }
 
+bool
+designHasPredictor(Design d)
+{
+    return d == Design::CascadeLake || d == Design::Alloy ||
+           d == Design::Bear || d == Design::TicToc;
+}
+
 std::unique_ptr<DramCacheCtrl>
 makeDramCache(EventQueue &eq, Design design, const DramCacheConfig &cfg,
               MainMemory &mm)

@@ -70,7 +70,6 @@ class RemapTable : public SimObject
 
     std::uint64_t numSets() const { return _sets; }
     unsigned ways() const { return _ways; }
-    std::uint64_t pageBytes() const { return _pageBytes; }
 
     /** True if @p page (page-aligned) is currently mapped. */
     bool contains(Addr page) const { return find(page) != nullptr; }

@@ -730,8 +730,6 @@ class DramChannel : public SimObject
 
     void startRefresh();
 
-    bool inWriteDrain() const { return _drainingWrites; }
-
     ChannelConfig _cfg;
     AddressMap _map;
     const TimingParams &_t;

@@ -65,13 +65,6 @@ enum class AccessOutcome : std::uint8_t
 /** Short printable name for an AccessOutcome. */
 const char *outcomeName(AccessOutcome o);
 
-/** True for the five read outcomes. */
-constexpr bool
-outcomeIsRead(AccessOutcome o)
-{
-    return o <= AccessOutcome::ReadMissDirty;
-}
-
 /** True for hit outcomes (read or write). */
 constexpr bool
 outcomeIsHit(AccessOutcome o)

@@ -57,16 +57,4 @@ fatalImpl(const char *file, int line, const std::string &msg)
     std::exit(1);
 }
 
-void
-warnImpl(const std::string &msg)
-{
-    std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-informImpl(const std::string &msg)
-{
-    std::fprintf(stdout, "info: %s\n", msg.c_str());
-}
-
 } // namespace tsim

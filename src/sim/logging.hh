@@ -7,8 +7,6 @@
  *            aborts.
  * fatal()  - the user asked for something the simulator cannot do
  *            (bad configuration); exits with an error code.
- * warn()   - something may be modelled approximately.
- * inform() - plain status output.
  */
 
 #ifndef TSIM_SIM_LOGGING_HH
@@ -27,8 +25,6 @@ namespace tsim
                             const std::string &msg);
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
-void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 
 /**
  * Parse @p arg, the value of command-line option @p flag, as an
@@ -51,10 +47,6 @@ std::string logFormat(const char *fmt, ...)
 
 #define fatal(...) \
     ::tsim::fatalImpl(__FILE__, __LINE__, ::tsim::logFormat(__VA_ARGS__))
-
-#define warn(...) ::tsim::warnImpl(::tsim::logFormat(__VA_ARGS__))
-
-#define inform(...) ::tsim::informImpl(::tsim::logFormat(__VA_ARGS__))
 
 /** Panic if a simulator invariant does not hold. */
 #define panic_if(cond, ...)                                              \

@@ -245,9 +245,6 @@ class SlabPool
         return PoolRef<T>::adopt(p);
     }
 
-    /** Items currently allocated (tests / leak sanity). */
-    std::uint64_t liveCount() const { return _core->live; }
-
   private:
     detail::PoolCore<T> *_core;
 };

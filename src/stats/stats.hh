@@ -138,7 +138,6 @@ class Histogram
     }
 
     const std::vector<std::uint64_t> &buckets() const { return _buckets; }
-    double bucketWidth() const { return _width; }
 
     void
     reset()

@@ -1,8 +1,12 @@
 #include "system/system.hh"
 
+#include <charconv>
 #include <cmath>
+#include <limits>
 #include <sstream>
+#include <type_traits>
 
+#include "sim/logging.hh"
 #include "stats/stats.hh"
 
 namespace tsim
@@ -112,7 +116,9 @@ System::System(const SystemConfig &cfg, const WorkloadProfile &workload)
     const unsigned dc = _dcache->numChannels();
     const unsigned mm = _mm->numChannels();
     if (!cfg.tracePath.empty()) {
-        _tracer = std::make_unique<Tracer>(cfg.tracePath, dc + mm + 1);
+        _tracer = std::make_unique<Tracer>(
+            cfg.tracePath, dc + mm + 1, Tracer::defaultRingCapacity,
+            traceManifest(cfg));
         for (unsigned c = 0; c < dc; ++c)
             _dcache->channel(c).traceBuf = &_tracer->buffer(c);
         for (unsigned c = 0; c < mm; ++c)
@@ -290,6 +296,138 @@ makeChecker(const SystemConfig &cfg)
         chk->addChannel(mm);
     chk->addDemandChannel();
     return chk;
+}
+
+namespace
+{
+
+/**
+ * Call @p f(key, field) on every field the manifest holds: the one
+ * list traceManifest() writes and parseTraceManifest() reads.
+ */
+template <class Config, class F>
+void
+forEachManifestField(Config &cfg, F &&f)
+{
+    f("design", cfg.design);
+    f("mmChannels", cfg.mmChannels);
+    auto &d = cfg.dcache;
+    f("dcache.capacityBytes", d.capacityBytes);
+    f("dcache.ways", d.ways);
+    f("dcache.channels", d.channels);
+    f("dcache.banks", d.banks);
+    f("dcache.rowBytes", d.rowBytes);
+    f("dcache.readQCap", d.readQCap);
+    f("dcache.writeQCap", d.writeQCap);
+    f("dcache.conflictBufEntries", d.conflictBufEntries);
+    f("dcache.flushEntries", d.flushEntries);
+    f("dcache.pagePolicy", d.pagePolicy);
+    f("dcache.predictor", d.predictor);
+    f("dcache.prefetchDegree", d.prefetchDegree);
+    f("dcache.ctrlLatency", d.ctrlLatency);
+    f("dcache.refreshEnabled", d.refreshEnabled);
+    f("dcache.pageBytes", d.pageBytes);
+    f("dcache.tdramConditionalColumn", d.tdramConditionalColumn);
+}
+
+/** The manifest spelling of @p v: a design name, open|close, or a count. */
+template <class T>
+std::string
+manifestValue(const T &v)
+{
+    if constexpr (std::is_same_v<T, Design>)
+        return designName(v);
+    else if constexpr (std::is_same_v<T, PagePolicy>)
+        return v == PagePolicy::Open ? "open" : "close";
+    else
+        return std::to_string(v);
+}
+
+/** Parse @p text, as manifestValue() spells it, into @p v. */
+template <class T>
+bool
+parseManifestValue(const std::string &text, T &v)
+{
+    if constexpr (std::is_same_v<T, Design>) {
+        return findDesign(text, v);
+    } else if constexpr (std::is_same_v<T, PagePolicy>) {
+        v = text == "open" ? PagePolicy::Open : PagePolicy::Close;
+        return text == manifestValue(v);
+    } else {
+        std::uint64_t n = 0;
+        const char *end = text.data() + text.size();
+        const auto [ptr, ec] = std::from_chars(text.data(), end, n);
+        v = static_cast<T>(n);
+        return ec == std::errc() && ptr == end &&
+               n <= std::numeric_limits<T>::max();
+    }
+}
+
+} // namespace
+
+std::string
+traceManifest(const SystemConfig &cfg)
+{
+    std::string text;
+    forEachManifestField(cfg, [&text](const char *key, const auto &v) {
+        text += std::string(key) + "=" + manifestValue(v) + "\n";
+    });
+    return text;
+}
+
+bool
+parseTraceManifest(const std::string &manifest, SystemConfig &cfg,
+                   std::string &error)
+{
+    // The lines come in the field list's order, one per field.
+    std::istringstream in(manifest);
+    std::string line;
+    error = manifest.empty() ? "the trace has no manifest" : "";
+    forEachManifestField(cfg, [&](const std::string &key, auto &v) {
+        if (!error.empty())
+            return;
+        if (!std::getline(in, line))
+            error = "manifest ends before key '" + key + "'";
+        else if (line.compare(0, key.size() + 1, key + "=") != 0)
+            error = "unexpected manifest line '" + line + "' (want key '" +
+                    key + "')";
+        else if (!parseManifestValue(line.substr(key.size() + 1), v))
+            error = "manifest value out of range: " + line;
+    });
+    if (error.empty() && std::getline(in, line))
+        error = "unexpected manifest line '" + line + "' after the last key";
+    return error.empty();
+}
+
+CheckReport
+checkTrace(const TraceFile &trace)
+{
+    CheckReport rep;
+    SystemConfig cfg;
+    if (!parseTraceManifest(trace.manifest, cfg, rep.error))
+        return rep;
+    rep.design = cfg.design;
+    const std::unique_ptr<ProtocolChecker> chk = makeChecker(cfg);
+    if (trace.header.channels != chk->numChannels()) {
+        rep.error = logFormat(
+            "trace has %u channels but its manifest describes %u "
+            "(%u dcache + %u mm + 1 demand)",
+            trace.header.channels, chk->numChannels(),
+            cfg.dcache.channels, cfg.mmChannels);
+        return rep;
+    }
+
+    // loadTrace() returns records sorted by the global emission seq,
+    // which is exactly the order the inline checker saw them in.
+    for (const TraceRecord &r : trace.records)
+        chk->onRecord(r);
+    chk->finish();
+
+    rep.ok = chk->ok();
+    rep.events = chk->eventsChecked();
+    rep.violationCount = chk->violationCount();
+    rep.violations = chk->violations();
+    return rep;
 }
 
 SimReport

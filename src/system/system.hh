@@ -12,7 +12,9 @@
 #include <memory>
 #include <ostream>
 #include <string>
+#include <vector>
 
+#include "check/check.hh"
 #include "dcache/dram_cache.hh"
 #include "dram/main_memory.hh"
 #include "energy/energy.hh"
@@ -184,10 +186,41 @@ class System
  * tracer's buffers: one channel per DRAM-cache channel
  * (dcacheChannelConfig), then one per main-memory channel, then the
  * controller's demand-only buffer. System wires it inline and
- * checkTrace (src/check/offline.hh) audits a recorded trace with it,
- * so both modes audit one run against identical rules.
+ * checkTrace audits a recorded trace with it, so both modes audit one
+ * run against identical rules.
  */
 std::unique_ptr<ProtocolChecker> makeChecker(const SystemConfig &cfg);
+
+/**
+ * The .tdt manifest of @p cfg (DESIGN.md §10): a `key=value` line per
+ * field makeChecker reads (design, mmChannels, all of dcache).
+ */
+std::string traceManifest(const SystemConfig &cfg);
+
+/**
+ * Read @p manifest's fields back into @p cfg. False, with @p error
+ * set, on an empty manifest, a line that is not the next field's
+ * `key=`, a missing or extra line, or a value out of range.
+ */
+bool parseTraceManifest(const std::string &manifest, SystemConfig &cfg,
+                        std::string &error);
+
+/** Result of one offline audit. */
+struct CheckReport
+{
+    bool ok = false;           ///< audit ran and found zero violations
+    std::string error;         ///< non-empty: audit could not run
+    Design design = Design::Tdram;  ///< as the manifest names it
+    std::uint64_t events = 0;
+    std::uint64_t violationCount = 0;
+    std::vector<CheckViolation> violations;  ///< stored subset
+};
+
+/**
+ * Offline audit (DESIGN.md §11): replay @p trace's records through
+ * the checker makeChecker builds from its manifest.
+ */
+CheckReport checkTrace(const TraceFile &trace);
 
 /** Convenience: build + run one configuration. */
 SimReport runOne(const SystemConfig &cfg, const WorkloadProfile &wl);

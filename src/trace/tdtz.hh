@@ -201,9 +201,6 @@ class TdtzWriter
     /** Flush the open frame, write the footer, close the file. */
     void finish();
 
-    std::uint64_t recordsWritten() const { return _info.records; }
-    TdtzCodec codec() const { return _codec; }
-
   private:
     void flushFrame();
 

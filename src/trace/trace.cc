@@ -92,7 +92,7 @@ TraceBuffer::snapshot() const
 // ---------------------------------------------------------------------
 
 Tracer::Tracer(std::string path, unsigned channels,
-               std::uint32_t ringCapacity)
+               std::uint32_t ringCapacity, const std::string &manifest)
     : _path(std::move(path))
 {
     fatal_if(channels == 0 || channels > 255,
@@ -101,9 +101,11 @@ Tracer::Tracer(std::string path, unsigned channels,
         _file = std::fopen(_path.c_str(), "wb");
         fatal_if(!_file, "cannot open trace file '%s' for writing",
                  _path.c_str());
-        TraceFileHeader hdr;
-        hdr.channels = channels;
-        fatal_if(std::fwrite(&hdr, sizeof(hdr), 1, _file) != 1,
+        _header.channels = channels;
+        _header.manifestBytes = manifest.size();
+        fatal_if(std::fwrite(&_header, sizeof(_header), 1, _file) != 1 ||
+                     std::fwrite(manifest.data(), 1, manifest.size(),
+                                 _file) != manifest.size(),
                  "cannot write trace header to '%s'", _path.c_str());
     }
     for (unsigned c = 0; c < channels; ++c) {
@@ -146,12 +148,10 @@ Tracer::flushAll()
     // Patch the record count into the header so readers can reject
     // truncated files, and the drop total so readers can tell a
     // complete trace from one whose rings wrapped.
-    TraceFileHeader hdr;
-    hdr.channels = static_cast<std::uint32_t>(_buffers.size());
-    hdr.recordCount = _written;
-    hdr.droppedCount = droppedTotal();
+    _header.recordCount = _written;
+    _header.droppedCount = droppedTotal();
     std::fseek(_file, 0, SEEK_SET);
-    fatal_if(std::fwrite(&hdr, sizeof(hdr), 1, _file) != 1,
+    fatal_if(std::fwrite(&_header, sizeof(_header), 1, _file) != 1,
              "cannot patch trace header of '%s'", _path.c_str());
     std::fseek(_file, 0, SEEK_END);
     std::fflush(_file);
@@ -165,71 +165,71 @@ TraceLoadResult
 loadTrace(const std::string &path)
 {
     TraceLoadResult res;
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f) {
-        res.error = "cannot open '" + path + "'";
+    const auto fail = [&res, &path](const std::string &fault) {
+        res.error = "'" + path + "': " + fault;
+        res.trace = {};
         return res;
-    }
+    };
+    const auto close = [](std::FILE *f) { std::fclose(f); };
+    const std::unique_ptr<std::FILE, decltype(close)> file(
+        std::fopen(path.c_str(), "rb"), close);
+    std::FILE *f = file.get();
+    if (!f)
+        return fail("cannot open");
 
+    // Magic and version first: a short old-version file names its version.
     TraceFileHeader hdr;
-    if (std::fread(&hdr, sizeof(hdr), 1, f) != 1) {
-        res.error = "'" + path + "': shorter than a trace header";
-        std::fclose(f);
-        return res;
-    }
-    if (hdr.magic != TraceFileHeader::magicValue) {
-        res.error = "'" + path + "': not a .tdt trace (bad magic)";
-        std::fclose(f);
-        return res;
-    }
+    const std::size_t got = std::fread(&hdr, 1, sizeof(hdr), f);
+    if (got < 2 * sizeof(std::uint32_t))
+        return fail("shorter than a trace header");
+    if (hdr.magic != TraceFileHeader::magicValue)
+        return fail("not a .tdt trace (bad magic)");
     if (hdr.version != TraceFileHeader::versionValue) {
-        res.error = "'" + path + "': unsupported trace version " +
+        return fail("unsupported trace version " +
                     std::to_string(hdr.version) + " (want " +
-                    std::to_string(TraceFileHeader::versionValue) + ")";
-        std::fclose(f);
-        return res;
+                    std::to_string(TraceFileHeader::versionValue) +
+                    ", whose manifest describes the run; re-record "
+                    "the trace)");
     }
+    if (got < sizeof(hdr))
+        return fail("shorter than a trace header");
     if (hdr.recordBytes != sizeof(TraceRecord)) {
-        res.error = "'" + path + "': record size " +
-                    std::to_string(hdr.recordBytes) +
+        return fail("record size " + std::to_string(hdr.recordBytes) +
                     " does not match this build (" +
-                    std::to_string(sizeof(TraceRecord)) + ")";
-        std::fclose(f);
-        return res;
+                    std::to_string(sizeof(TraceRecord)) + ")");
     }
 
     std::fseek(f, 0, SEEK_END);
-    const long end = std::ftell(f);
+    const std::uint64_t rest =
+        static_cast<std::uint64_t>(std::ftell(f)) - sizeof(hdr);
     std::fseek(f, static_cast<long>(sizeof(hdr)), SEEK_SET);
-    const std::uint64_t body =
-        static_cast<std::uint64_t>(end) - sizeof(hdr);
+    res.trace.manifest.resize(std::min(hdr.manifestBytes, rest));
+    if (hdr.manifestBytes > rest ||
+        std::fread(res.trace.manifest.data(), 1, hdr.manifestBytes,
+                   f) != hdr.manifestBytes) {
+        return fail("truncated manifest (header promises " +
+                    std::to_string(hdr.manifestBytes) +
+                    " bytes, file holds " + std::to_string(rest) + ")");
+    }
+    const std::uint64_t body = rest - hdr.manifestBytes;
     if (body % sizeof(TraceRecord) != 0) {
-        res.error = "'" + path + "': truncated mid-record (" +
-                    std::to_string(body) + " payload bytes)";
-        std::fclose(f);
-        return res;
+        return fail("truncated mid-record (" + std::to_string(body) +
+                    " payload bytes)");
     }
     const std::uint64_t n = body / sizeof(TraceRecord);
     if (n != hdr.recordCount) {
-        res.error = "'" + path + "': header promises " +
-                    std::to_string(hdr.recordCount) + " records, file "
-                    "holds " + std::to_string(n) +
-                    " (unflushed or truncated trace)";
-        std::fclose(f);
-        return res;
+        return fail("header promises " +
+                    std::to_string(hdr.recordCount) +
+                    " records, file holds " + std::to_string(n) +
+                    " (unflushed or truncated trace)");
     }
 
     res.trace.header = hdr;
     res.trace.records.resize(n);
     if (n > 0 &&
         std::fread(res.trace.records.data(), sizeof(TraceRecord), n,
-                   f) != n) {
-        res.error = "'" + path + "': read error in record payload";
-        res.trace.records.clear();
-        std::fclose(f);
-        return res;
-    }
-    std::fclose(f);
+                   f) != n)
+        return fail("read error in record payload");
 
     // Per-channel rings spill in blocks; restore global emission
     // order.

@@ -13,9 +13,10 @@
  *    allocation, no branching beyond a full-check — so hooks are
  *    cheap enough to leave in release builds.
  *  - A Tracer owns the per-channel buffers plus (optionally) a
- *    TraceWriter that appends full rings to a `.tdt` file with a
- *    versioned header. Without a writer the rings wrap, retaining the
- *    most recent events for post-mortem inspection.
+ *    writer that appends full rings to a `.tdt` file after a
+ *    versioned header and the run's manifest. Without a writer the
+ *    rings wrap, retaining the most recent events for post-mortem
+ *    inspection.
  *  - Records carry a global emission sequence number, so a loader can
  *    reconstruct the exact total order of emission even though
  *    per-channel rings spill to the file in blocks. Emission order is
@@ -77,8 +78,8 @@ enum class DrainCause : std::uint32_t
 
 /**
  * One traced event. Fixed-size, trivially copyable: the .tdt file is
- * a header plus a flat array of these, written in spill order and
- * reordered by `seq` on load.
+ * a header and a manifest plus a flat array of these, written in
+ * spill order and reordered by `seq` on load.
  *
  * Field use by kind:
  *  - Read/Write/ActRd/ActWr: aux = issue-to-data-done latency in
@@ -137,7 +138,10 @@ packTagBits(bool hit, bool valid, bool dirty, bool via_probe)
            (via_probe ? 8u : 0u);
 }
 
-/** .tdt file header (32 bytes, little-endian, versioned). */
+/**
+ * .tdt file header (40 bytes, little-endian, versioned). The file is
+ * this header, then manifestBytes of manifest, then the records.
+ */
 struct TraceFileHeader
 {
     std::uint32_t magic = magicValue;
@@ -149,17 +153,17 @@ struct TraceFileHeader
      * Records lost to ring wraparound across every channel, patched
      * on close alongside recordCount. Zero for sinked runs (full
      * rings spill instead of wrapping), so readers treat a nonzero
-     * value as "this trace is silently incomplete". Occupies the
-     * former reserved word; zero-filled files from older writers
-     * read back as "no drops", keeping version 1 traces compatible.
+     * value as "this trace is silently incomplete".
      */
     std::uint64_t droppedCount = 0;
+    /** Length of the manifest, the writer's opaque run description. */
+    std::uint64_t manifestBytes = 0;
 
     static constexpr std::uint32_t magicValue = 0x54445431; ///< "1TDT"
-    static constexpr std::uint32_t versionValue = 1;
+    static constexpr std::uint32_t versionValue = 2;
 };
 
-static_assert(sizeof(TraceFileHeader) == 32,
+static_assert(sizeof(TraceFileHeader) == 40,
               "TraceFileHeader layout is part of the .tdt format");
 
 class Tracer;
@@ -234,14 +238,20 @@ class TraceBuffer
 class Tracer
 {
   public:
+    /** Default slots per buffer. */
+    static constexpr std::uint32_t defaultRingCapacity = 4096;
+
     /**
      * @param path     .tdt output file; empty = memory-only (rings
      *                 wrap, nothing is written).
      * @param channels number of trace buffers to create.
      * @param ringCapacity slots per buffer.
+     * @param manifest bytes written after the header and returned
+     *                 by loadTrace() as TraceFile::manifest.
      */
     Tracer(std::string path, unsigned channels,
-           std::uint32_t ringCapacity = 4096);
+           std::uint32_t ringCapacity = defaultRingCapacity,
+           const std::string &manifest = {});
 
     /** Flushes and closes the file (if any). */
     ~Tracer();
@@ -250,17 +260,11 @@ class Tracer
     Tracer &operator=(const Tracer &) = delete;
 
     TraceBuffer &buffer(unsigned channel) { return *_buffers[channel]; }
-    unsigned numBuffers() const
-    {
-        return static_cast<unsigned>(_buffers.size());
-    }
 
     /** Spill every buffer and fsync the record count to the header. */
     void flushAll();
 
-    const std::string &path() const { return _path; }
     bool sinked() const { return _file != nullptr; }
-    std::uint64_t recordsWritten() const { return _written; }
 
     /** Records dropped to ring wraparound, summed over channels. */
     std::uint64_t droppedTotal() const;
@@ -273,6 +277,7 @@ class Tracer
 
     std::string _path;
     std::FILE *_file = nullptr;
+    TraceFileHeader _header;
     std::uint64_t _written = 0;
     std::uint64_t _nextSeq = 0;
     std::vector<std::unique_ptr<TraceBuffer>> _buffers;
@@ -284,16 +289,18 @@ TraceBuffer::nextSeq()
     return _owner._nextSeq++;
 }
 
-/** A loaded .tdt file: header plus records sorted by emission seq. */
+/** A loaded .tdt file: header, manifest, records sorted by seq. */
 struct TraceFile
 {
     TraceFileHeader header{};
+    std::string manifest;              ///< the writer's bytes, verbatim
     std::vector<TraceRecord> records;  ///< sorted by seq
 };
 
 /**
  * Result of loading a .tdt file. `ok` is false (with `error` set) on
- * unreadable, truncated, or version-mismatched input.
+ * unreadable, truncated (records or manifest), or version-mismatched
+ * input; the error names the file.
  */
 struct TraceLoadResult
 {

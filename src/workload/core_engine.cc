@@ -10,7 +10,7 @@ CoreEngine::CoreEngine(
     std::vector<std::unique_ptr<AddressGenerator>> gens,
     DramCacheCtrl &dcache, std::uint64_t seed)
     : RequestEngine(eq, std::move(name)), _cfg(cfg), _dcache(dcache),
-      _llc("llc", cfg.llcBytes, cfg.llcWays, cfg.llcLatency),
+      _llc("llc", cfg.llcBytes, cfg.llcWays),
       _rng(seed)
 {
     fatal_if(gens.size() != cfg.cores,
@@ -19,8 +19,7 @@ CoreEngine::CoreEngine(
     _cores.resize(cfg.cores);
     for (unsigned c = 0; c < cfg.cores; ++c) {
         _l1s.push_back(std::make_unique<SramCache>(
-            "l1." + std::to_string(c), cfg.l1Bytes, cfg.l1Ways,
-            cfg.l1Latency));
+            "l1." + std::to_string(c), cfg.l1Bytes, cfg.l1Ways));
         _cores[c].gen = std::move(gens[c]);
     }
 }

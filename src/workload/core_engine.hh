@@ -136,13 +136,6 @@ class CoreEngine : public RequestEngine
     void advance(unsigned c);
     void scheduleAdvance(unsigned c, Tick when);
 
-    /**
-     * Route one post-L1 access through the LLC, emitting DRAM-cache
-     * demands. @return false if backpressure stalled the core (the
-     * demand packets are parked in core.stalled).
-     */
-    bool handleL1Miss(unsigned c, Addr addr, bool is_store);
-
     /** Try to issue every parked demand. @return true if all went. */
     bool drainStalled(unsigned c);
 

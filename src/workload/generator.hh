@@ -267,48 +267,6 @@ class StencilGenerator : public AddressGenerator
 };
 
 /**
- * Temporal phases: runs each sub-generator for a fixed number of
- * operations before moving to the next, cycling. Models phasic HPC
- * behaviour (BFS frontier growth/shrink, multigrid V-cycles,
- * alternating compute/exchange steps) that a stationary mixture
- * cannot express.
- */
-class PhaseGenerator : public AddressGenerator
-{
-  public:
-    void
-    add(std::unique_ptr<AddressGenerator> gen, std::uint64_t ops)
-    {
-        _phases.push_back({std::move(gen), ops});
-    }
-
-    MemOp
-    next(Rng &rng) override
-    {
-        Phase &p = _phases[_current];
-        MemOp op = p.gen->next(rng);
-        if (++_opsInPhase >= p.ops) {
-            _opsInPhase = 0;
-            _current = (_current + 1) % _phases.size();
-        }
-        return op;
-    }
-
-    std::size_t currentPhase() const { return _current; }
-
-  private:
-    struct Phase
-    {
-        std::unique_ptr<AddressGenerator> gen;
-        std::uint64_t ops;
-    };
-
-    std::vector<Phase> _phases;
-    std::size_t _current = 0;
-    std::uint64_t _opsInPhase = 0;
-};
-
-/**
  * OS-style physical page scatter.
  *
  * Workload generators produce *virtual* addresses in contiguous

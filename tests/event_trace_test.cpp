@@ -64,7 +64,7 @@ TEST(TraceBuffer, RoundTripsThroughFile)
 {
     const std::string path = tmpPath("trace_roundtrip.tdt");
     {
-        Tracer tracer(path, 2, 8);
+        Tracer tracer(path, 2, 8, "any=bytes\n");
         tracer.buffer(0).record(TraceKind::ActRd, 100, 0x40, 3, 25, 1);
         tracer.buffer(1).record(TraceKind::HmResult, 200, 0x80, 7, 15,
                                 packTagBits(true, true, false, false));
@@ -78,6 +78,7 @@ TEST(TraceBuffer, RoundTripsThroughFile)
     ASSERT_TRUE(res.ok) << res.error;
     EXPECT_EQ(res.trace.header.channels, 2u);
     EXPECT_EQ(res.trace.header.recordCount, 3u);
+    EXPECT_EQ(res.trace.manifest, "any=bytes\n");
     ASSERT_EQ(res.trace.records.size(), 3u);
 
     // Loader returns global emission order regardless of per-channel
@@ -225,10 +226,10 @@ TEST(TraceSummary, ReportsPerChannelCountsDropsAndSeqGaps)
 
 TEST(TraceLoader, RejectsCorruptFiles)
 {
-    // A valid baseline.
+    // A valid baseline, with a 15-byte manifest.
     const std::string good = tmpPath("trace_good.tdt");
     {
-        Tracer tracer(good, 1, 8);
+        Tracer tracer(good, 1, 8, "manifest=bytes\n");
         for (int i = 0; i < 5; ++i)
             tracer.buffer(0).record(TraceKind::Read, i, i, 0, 0, 0);
         tracer.flushAll();
@@ -266,6 +267,23 @@ TEST(TraceLoader, RejectsCorruptFiles)
     res = loadTrace(writeVariant("trace_ver.tdt", ver));
     EXPECT_FALSE(res.ok);
     EXPECT_NE(res.error.find("version"), std::string::npos);
+
+    // Version 1 (no manifest) is refused, naming the file.
+    ver[4] = 1;
+    const std::string v1 = writeVariant("trace_v1.tdt", ver);
+    res = loadTrace(v1);
+    EXPECT_FALSE(res.ok);
+    EXPECT_EQ(res.error.find("'" + v1 + "': unsupported trace version 1"),
+              0u) << res.error;
+
+    // The file ends inside the manifest.
+    std::vector<char> cut(bytes.begin(),
+                          bytes.begin() + sizeof(TraceFileHeader) + 5);
+    res = loadTrace(writeVariant("trace_cut.tdt", cut));
+    EXPECT_FALSE(res.ok);
+    EXPECT_NE(res.error.find("truncated manifest (header promises 15 "
+                             "bytes, file holds 5)"),
+              std::string::npos) << res.error;
 
     // Record-size mismatch (foreign layout).
     std::vector<char> rec = bytes;

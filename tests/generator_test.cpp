@@ -146,33 +146,6 @@ TEST(StencilGenerator, LastArrayIsStoreTarget)
     EXPECT_EQ(stores, 100);  // exactly one array in four is written
 }
 
-TEST(PhaseGenerator, CyclesThroughPhases)
-{
-    PhaseGenerator g;
-    g.add(std::make_unique<StreamGenerator>(0x0, 64 * lineBytes, 1,
-                                            0.0),
-          10);
-    g.add(std::make_unique<StreamGenerator>(0x100000, 64 * lineBytes,
-                                            1, 1.0),
-          5);
-    Rng rng(1);
-    // Phase 0: 10 loads from the low region.
-    for (int i = 0; i < 10; ++i) {
-        MemOp op = g.next(rng);
-        EXPECT_LT(op.addr, 0x100000u);
-        EXPECT_FALSE(op.isStore);
-    }
-    // Phase 1: 5 stores from the high region.
-    for (int i = 0; i < 5; ++i) {
-        MemOp op = g.next(rng);
-        EXPECT_GE(op.addr, 0x100000u);
-        EXPECT_TRUE(op.isStore);
-    }
-    // Wraps back to phase 0.
-    EXPECT_LT(g.next(rng).addr, 0x100000u);
-    EXPECT_EQ(g.currentPhase(), 0u);
-}
-
 TEST(PageScatter, BijectiveOverSpace)
 {
     auto inner = std::make_unique<StreamGenerator>(0, 1 << 20, 1, 0.0);

@@ -2,19 +2,21 @@
  * @file
  * Protocol-checker integration tests (DESIGN.md §11): unmodified runs
  * of every device kind and page policy report zero violations (inline
- * mode), offline audits of the recorded traces agree with the inline
- * result, and a channel driven with deliberately relaxed timing
- * against a strict rule table is flagged.
+ * mode), offline audits of the recorded traces, rebuilt from each
+ * trace's manifest, agree with the inline result, the manifest
+ * round-trips every field and refuses malformed input, and a channel
+ * driven with deliberately relaxed timing against a strict rule table
+ * is flagged.
  */
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "check/check.hh"
-#include "check/offline.hh"
 #include "dram/channel.hh"
 #include "mem/address_map.hh"
 #include "system/system.hh"
@@ -69,12 +71,14 @@ TEST_P(CleanRun, ReportsZeroViolationsInlineAndOffline)
         << ProtocolChecker::formatViolation(
                sys.checker()->violations().front());
 
-    // The same stream audited offline from the same SystemConfig must
-    // agree: zero violations over the same number of events.
+    // The same stream audited offline, from nothing but the trace and
+    // its manifest, must agree: zero violations over the same number
+    // of events.
     TraceLoadResult res = loadTrace(trace_path);
     ASSERT_TRUE(res.ok) << res.error;
-    CheckReport rep = checkTrace(res.trace, cfg);
+    CheckReport rep = checkTrace(res.trace);
     ASSERT_TRUE(rep.error.empty()) << rep.error;
+    EXPECT_EQ(rep.design, design);
     ASSERT_TRUE(rep.ok)
         << ProtocolChecker::formatViolation(rep.violations.front());
     EXPECT_EQ(rep.events, r.checkEvents);
@@ -111,6 +115,122 @@ cleanRunName(const ::testing::TestParamInfo<CleanCase> &info)
 INSTANTIATE_TEST_SUITE_P(AllDevicesAndPolicies, CleanRun,
                          ::testing::ValuesIn(cleanCases()),
                          cleanRunName);
+
+/** A config in which every manifest field differs from its default. */
+SystemConfig
+manifestCfg()
+{
+    SystemConfig cfg;
+    cfg.design = Design::Banshee;
+    cfg.mmChannels = 3;
+    DramCacheConfig &d = cfg.dcache;
+    d.capacityBytes = 64ULL << 20;
+    d.ways = 4;
+    d.channels = 4;
+    d.banks = 8;
+    d.rowBytes = 2048;
+    d.readQCap = 32;
+    d.writeQCap = 48;
+    d.conflictBufEntries = 16;
+    d.flushEntries = 8;
+    d.pagePolicy = PagePolicy::Open;
+    d.predictor = true;
+    d.prefetchDegree = 2;
+    d.ctrlLatency = nsToTicks(3);
+    d.refreshEnabled = false;
+    d.pageBytes = 8192;
+    d.tdramConditionalColumn = false;
+    return cfg;
+}
+
+std::vector<std::string>
+lines(const std::string &text)
+{
+    std::vector<std::string> out;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);)
+        out.push_back(line);
+    return out;
+}
+
+TEST(TraceManifest, RoundTripsEveryField)
+{
+    const SystemConfig cfg = manifestCfg();
+    const std::string text = traceManifest(cfg);
+
+    // Every line carries a non-default value, so the round trip below
+    // exercises every field of the list.
+    const std::vector<std::string> got = lines(text);
+    const std::vector<std::string> dflt =
+        lines(traceManifest(SystemConfig{}));
+    ASSERT_EQ(got.size(), dflt.size());
+    ASSERT_EQ(got.size(), 18u);
+    for (std::size_t i = 0; i < got.size(); ++i)
+        EXPECT_NE(got[i], dflt[i]);
+
+    SystemConfig back;
+    std::string error;
+    ASSERT_TRUE(parseTraceManifest(text, back, error)) << error;
+    EXPECT_TRUE(back == cfg);
+}
+
+TEST(TraceManifest, RefusesMalformedInput)
+{
+    const std::string good = traceManifest(SystemConfig{});
+    const auto refusal = [](const std::string &text) {
+        SystemConfig cfg;
+        std::string error;
+        EXPECT_FALSE(parseTraceManifest(text, cfg, error)) << text;
+        return error;
+    };
+    EXPECT_EQ(refusal(""), "the trace has no manifest");
+    EXPECT_EQ(refusal("bogus=1\n" + good),
+              "unexpected manifest line 'bogus=1' (want key 'design')");
+    EXPECT_EQ(refusal(good + "dcache.ways=2\n"),
+              "unexpected manifest line 'dcache.ways=2' after the last "
+              "key");
+    EXPECT_EQ(refusal("design\n"),
+              "unexpected manifest line 'design' (want key 'design')");
+    EXPECT_EQ(refusal(good.substr(good.find('\n') + 1)),
+              "unexpected manifest line 'mmChannels=2' (want key "
+              "'design')");
+    EXPECT_EQ(refusal(good.substr(0, good.find('\n') + 1)),
+              "manifest ends before key 'mmChannels'");
+
+    // Out of range: beyond the field's type, not 0/1 for a flag, not
+    // a design or page-policy name.
+    const auto with = [&good](const std::string &key,
+                              const std::string &value) {
+        const std::size_t at = good.find(key + "=") + key.size() + 1;
+        return good.substr(0, at) + value +
+               good.substr(good.find('\n', at));
+    };
+    EXPECT_EQ(refusal(with("dcache.ways", "4294967296")),
+              "manifest value out of range: dcache.ways=4294967296");
+    EXPECT_EQ(refusal(with("dcache.predictor", "2")),
+              "manifest value out of range: dcache.predictor=2");
+    EXPECT_EQ(refusal(with("design", "tdram")),
+              "manifest value out of range: design=tdram");
+    EXPECT_EQ(refusal(with("dcache.pagePolicy", "shut")),
+              "manifest value out of range: dcache.pagePolicy=shut");
+    EXPECT_EQ(refusal(with("mmChannels", "-1")),
+              "manifest value out of range: mmChannels=-1");
+}
+
+TEST(TraceManifest, AuditRefusesATraceItsManifestDoesNotDescribe)
+{
+    TraceFile t;
+    t.header.channels = 3;  // the default layout needs 8 + 2 + 1
+    t.manifest = traceManifest(SystemConfig{});
+    CheckReport rep = checkTrace(t);
+    EXPECT_FALSE(rep.ok);
+    EXPECT_EQ(rep.error, "trace has 3 channels but its manifest "
+                         "describes 11 (8 dcache + 2 mm + 1 demand)");
+
+    t.manifest.clear();
+    rep = checkTrace(t);
+    EXPECT_EQ(rep.error, "the trace has no manifest");
+}
 
 TEST(CheckRules, TableIsWellFormed)
 {

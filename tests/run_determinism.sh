@@ -84,9 +84,12 @@ cmp "$WORK/repro1.out" "$WORK/repro4.out" || {
 
 echo "=== [4/4] perturbation canary ==="
 cp "$WORK/run1.tdt" "$WORK/perturbed.tdt"
-# Flip one byte inside the first record's tick field (header is 32 B).
-printf '\xff' | dd of="$WORK/perturbed.tdt" bs=1 seek=32 count=1 \
-    conv=notrunc status=none
+# Flip one byte inside the first record's tick field: the records
+# follow the 40 B header and the manifest, whose length is the
+# header's last 8-byte word.
+manifest=$(od -An -tu8 -j32 -N8 "$WORK/run1.tdt" | tr -d ' ')
+printf '\xff' | dd of="$WORK/perturbed.tdt" bs=1 seek=$((40 + manifest)) \
+    count=1 conv=notrunc status=none
 if "$TOOL" diff "$WORK/run1.tdt" "$WORK/perturbed.tdt" \
     > "$WORK/canary.out"; then
     echo "FAIL: trace_tool diff missed an injected perturbation"

@@ -15,7 +15,7 @@ namespace
 
 TEST(SramCache, MissThenHit)
 {
-    SramCache c("c", 1 << 14, 4, nsToTicks(1));
+    SramCache c("c", 1 << 14, 4);
     auto r1 = c.access(0x1000, false);
     EXPECT_FALSE(r1.hit);
     EXPECT_FALSE(r1.writeback);
@@ -27,7 +27,7 @@ TEST(SramCache, MissThenHit)
 
 TEST(SramCache, DirtyEvictionProducesWriteback)
 {
-    SramCache c("c", 1 << 12, 1, nsToTicks(1));  // 64 lines direct
+    SramCache c("c", 1 << 12, 1);  // 64 lines direct
     const Addr a = 0x0;
     const Addr b = a + (1 << 12);  // same set
     c.access(a, true);             // dirty
@@ -40,7 +40,7 @@ TEST(SramCache, DirtyEvictionProducesWriteback)
 
 TEST(SramCache, CleanEvictionIsSilent)
 {
-    SramCache c("c", 1 << 12, 1, nsToTicks(1));
+    SramCache c("c", 1 << 12, 1);
     const Addr a = 0x40;
     const Addr b = a + (1 << 12);
     c.access(a, false);  // clean
@@ -50,7 +50,7 @@ TEST(SramCache, CleanEvictionIsSilent)
 
 TEST(SramCache, StoreHitDirtiesLine)
 {
-    SramCache c("c", 1 << 12, 2, nsToTicks(1));
+    SramCache c("c", 1 << 12, 2);
     c.access(0x80, false);
     c.access(0x80, true);  // hit + dirty
     const Addr conflict1 = 0x80 + (1 << 11);
@@ -63,7 +63,7 @@ TEST(SramCache, StoreHitDirtiesLine)
 
 TEST(SramCache, MissRatioTracksAccesses)
 {
-    SramCache c("c", 1 << 14, 8, nsToTicks(1));
+    SramCache c("c", 1 << 14, 8);
     Rng rng(5);
     for (int i = 0; i < 5000; ++i)
         c.access(rng.range(1 << 7) * lineBytes, false);
@@ -73,7 +73,7 @@ TEST(SramCache, MissRatioTracksAccesses)
 
 TEST(SramCache, ContainsIsSideEffectFree)
 {
-    SramCache c("c", 1 << 12, 1, nsToTicks(1));
+    SramCache c("c", 1 << 12, 1);
     c.access(0x0, false);
     c.access(0x100, false);
     EXPECT_TRUE(c.contains(0x0));

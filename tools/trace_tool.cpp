@@ -16,12 +16,12 @@
  *       swimlane per (channel, bank). Default output: stdout.
  *   trace_tool dump <trace.tdt> [--limit N]
  *       Human-readable record listing (debugging).
- *   trace_tool check <trace.tdt> [--device DESIGN] [--page P] ...
- *       Offline protocol/invariant audit (DESIGN.md §11): replay the
- *       trace through the same rule engine the inline checker runs
- *       and report the first violations with per-channel context.
- *       DESIGN is a design name as tdram_cli spells it (default
- *       TDRAM). Exit 0 when clean; exit 1 on any violation.
+ *   trace_tool check <trace.tdt> [--context N]
+ *       Offline protocol/invariant audit (DESIGN.md §11): rebuild the
+ *       run's checker from the trace's manifest, replay the trace
+ *       through the same rule engine the inline checker runs, and
+ *       report the first violations with N records of per-channel
+ *       context. Exit 0 when clean; exit 1 on any violation.
  *   trace_tool convert <in> <out.tdtz> [--codec zstd|none]
  *                      [--frame-records N]
  *       Build a compressed replay container (DESIGN.md §14). The
@@ -42,7 +42,6 @@
 #include <string>
 #include <vector>
 
-#include "check/offline.hh"
 #include "sim/logging.hh"
 #include "system/system.hh"
 #include "trace/tdtz.hh"
@@ -64,10 +63,7 @@ usage()
         "  diff <a.tdt> <b.tdt>\n"
         "  export <trace.tdt> [out.json]\n"
         "  dump <trace.tdt> [--limit N]\n"
-        "  check <trace.tdt> [--device DESIGN (default TDRAM)]\n"
-        "        [--page open|close] [--channels N] [--mm-channels N]"
-        "\n"
-        "        [--banks N] [--flush-entries N] [--context N]\n"
+        "  check <trace.tdt> [--context N]\n"
         "  check --rules\n"
         "  convert <in.tdt|in.txt> <out.tdtz> [--codec zstd|none]\n"
         "          [--frame-records N]\n"
@@ -171,59 +167,33 @@ cmdCheck(int argc, char **argv)
         return 0;
     }
 
-    // The traced run's configuration, as far as the audit needs it.
-    SystemConfig cfg;
     unsigned context = 8;
     for (int i = 3; i < argc; ++i) {
-        const std::string name = argv[i];
-        if (i + 1 >= argc)
+        if (std::strcmp(argv[i], "--context") == 0 && i + 1 < argc)
+            context = static_cast<unsigned>(
+                parseCount("--context", argv[++i], UINT_MAX));
+        else
             usage();
-        const char *value = argv[++i];
-        const auto num = [&name, value] {
-            return static_cast<unsigned>(
-                parseCount(name.c_str(), value, UINT_MAX));
-        };
-        if (name == "--device") {
-            cfg.design = parseDesign(value);
-        } else if (name == "--page") {
-            if (std::strcmp(value, "open") == 0)
-                cfg.dcache.pagePolicy = PagePolicy::Open;
-            else if (std::strcmp(value, "close") == 0)
-                cfg.dcache.pagePolicy = PagePolicy::Close;
-            else
-                usage();
-        } else if (name == "--channels") {
-            cfg.dcache.channels = num();
-        } else if (name == "--mm-channels") {
-            cfg.mmChannels = num();
-        } else if (name == "--banks") {
-            cfg.dcache.banks = num();
-        } else if (name == "--flush-entries") {
-            cfg.dcache.flushEntries = num();
-        } else if (name == "--context") {
-            context = num();
-        } else {
-            usage();
-        }
     }
 
     const TraceFile t = loadOrDie(argv[2]);
-    const CheckReport rep = checkTrace(t, cfg);
+    const CheckReport rep = checkTrace(t);
     if (!rep.error.empty()) {
-        std::fprintf(stderr, "trace_tool: %s\n", rep.error.c_str());
+        std::fprintf(stderr, "trace_tool: '%s': %s\n", argv[2],
+                     rep.error.c_str());
         return 2;
     }
     if (rep.ok) {
         std::printf("clean: %llu events, 0 violations (device=%s)\n",
                     static_cast<unsigned long long>(rep.events),
-                    designName(cfg.design));
+                    designName(rep.design));
         return 0;
     }
 
     std::printf("%llu violation(s) in %llu events (device=%s)\n",
                 static_cast<unsigned long long>(rep.violationCount),
                 static_cast<unsigned long long>(rep.events),
-                designName(cfg.design));
+                designName(rep.design));
     // First violation with the preceding same-channel records: the
     // rule engine keyed the stored index to the record's position in
     // emission (seq) order, which is exactly t.records order.
