@@ -45,12 +45,9 @@ using namespace tsim;
 struct Options
 {
     bool full = false;            ///< all 28 workloads vs quick set
-    std::uint64_t opsPerCore = 8000;
-    std::uint64_t warmupOpsPerCore = 150000;
-    std::uint64_t seed = 1;
+    SystemConfig base;            ///< every run's config but its design
     unsigned jobs = 0;            ///< workers; 0 = hardware_concurrency
     std::string tracePrefix;      ///< .tdt per run when non-empty
-    std::string replayPath;       ///< .tdtz replay source when non-empty
 };
 
 /**
@@ -117,12 +114,8 @@ class RunSet
     SystemConfig
     config(Design d) const
     {
-        SystemConfig cfg;
+        SystemConfig cfg = _opts.base;
         cfg.design = d;
-        cfg.cores.opsPerCore = _opts.opsPerCore;
-        cfg.warmupOpsPerCore = _opts.warmupOpsPerCore;
-        cfg.seed = _opts.seed;
-        cfg.replay.path = _opts.replayPath;
         return cfg;
     }
 
@@ -153,11 +146,13 @@ class RunSet
             need(cfg, wl);
     }
 
-    /** Run every declared job once; host summary to stderr. */
+    /** Validate, then run, every declared job; host summary to stderr. */
     void
     runAll()
     {
         std::vector<SweepJob> jobs = _jobs;
+        for (const SweepJob &job : jobs)
+            requireValid(job.cfg);
         applyTracePrefix(jobs, _opts.tracePrefix);
         _runs.resize(jobs.size());
         SweepRunner(_opts.jobs).forEach(jobs.size(), [&](std::size_t i) {
@@ -1220,6 +1215,8 @@ int
 main(int argc, char **argv)
 {
     Options o;
+    o.base.cores.opsPerCore = 8000;
+    o.base.warmupOpsPerCore = 150000;
     bool opsGiven = false;
     std::vector<const Figure *> figures;
     for (int i = 1; i < argc; ++i) {
@@ -1228,18 +1225,18 @@ main(int argc, char **argv)
         if (std::strcmp(a, "--full") == 0) {
             o.full = true;
         } else if (std::strcmp(a, "--ops") == 0 && has_value) {
-            o.opsPerCore = parseCount(a, argv[++i]);
+            o.base.cores.opsPerCore = parseCount(a, argv[++i]);
             opsGiven = true;
         } else if (std::strcmp(a, "--warmup") == 0 && has_value) {
-            o.warmupOpsPerCore = parseCount(a, argv[++i]);
+            o.base.warmupOpsPerCore = parseCount(a, argv[++i]);
         } else if (std::strcmp(a, "--seed") == 0 && has_value) {
-            o.seed = parseCount(a, argv[++i]);
+            o.base.seed = parseCount(a, argv[++i]);
         } else if (std::strcmp(a, "--jobs") == 0 && has_value) {
             o.jobs = static_cast<unsigned>(parseCount(a, argv[++i], UINT_MAX));
         } else if (std::strcmp(a, "--trace") == 0 && has_value) {
             o.tracePrefix = argv[++i];
         } else if (std::strcmp(a, "--replay") == 0 && has_value) {
-            o.replayPath = argv[++i];
+            o.base.replay.path = argv[++i];
         } else if (a[0] == '-') {
             usage(argv[0]);
         } else {
@@ -1247,7 +1244,7 @@ main(int argc, char **argv)
         }
     }
     if (o.full && !opsGiven)
-        o.opsPerCore = 40000;
+        o.base.cores.opsPerCore = 40000;
     if (figures.empty())
         for (const Figure &f : kFigures)
             figures.push_back(&f);

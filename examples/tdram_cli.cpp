@@ -40,23 +40,13 @@ namespace
 
 using namespace tsim;
 
+/** The output options; every other option sets a SystemConfig field. */
 struct CliOptions
 {
-    std::uint64_t ops = 8000;
-    std::uint64_t warmup = 150000;
-    std::uint64_t seed = 1;
-    std::uint64_t capacityMib = 16;
-    unsigned ways = 1;
-    bool openPage = false;
-    bool predictor = false;
     bool fullStats = false;
     bool csv = false;
     bool json = false;  ///< run: print reportJson() instead of text
-    bool check = false;  ///< inline protocol checker on every run
     std::string tracePath;  ///< .tdt output (run) / prefix (others)
-    std::string replayPath; ///< .tdtz input (replay front end)
-    ReplayMode replayMode = ReplayMode::Timed;
-    unsigned replayMlp = 0;  ///< outstanding-read cap; 0 = unlimited
 };
 
 [[noreturn]] void
@@ -90,31 +80,44 @@ usage()
     std::exit(1);
 }
 
+/**
+ * Parse the options from argv[@p first] on: the output options into
+ * the result, everything else into @p cfg, which starts from the
+ * defaults with the CLI's run budget.
+ */
 CliOptions
-parseOptions(int argc, char **argv, int first)
+parseOptions(int argc, char **argv, int first, SystemConfig &cfg)
 {
+    cfg = SystemConfig{};
+    cfg.cores.opsPerCore = 8000;
+    cfg.warmupOpsPerCore = 150000;
     CliOptions o;
     for (int i = first; i < argc; ++i) {
         const std::string a = argv[i];
-        auto next = [&](std::uint64_t max = UINT64_MAX) {
+        auto value = [&] {
             if (i + 1 >= argc)
                 usage();
-            return parseCount(a.c_str(), argv[++i], max);
+            return argv[++i];
+        };
+        auto next = [&](std::uint64_t max = UINT64_MAX) {
+            return parseCount(a.c_str(), value(), max);
         };
         if (a == "--ops") {
-            o.ops = next();
+            cfg.cores.opsPerCore = next();
         } else if (a == "--warmup") {
-            o.warmup = next();
+            cfg.warmupOpsPerCore = next();
         } else if (a == "--seed") {
-            o.seed = next();
+            cfg.seed = next();
         } else if (a == "--capacity") {
-            o.capacityMib = next(UINT64_MAX >> 20);  // shifted to bytes
+            cfg.dcache.capacityBytes = next(UINT64_MAX >> 20) << 20;
         } else if (a == "--ways") {
-            o.ways = static_cast<unsigned>(next(UINT_MAX));
+            cfg.dcache.ways = static_cast<unsigned>(next(UINT_MAX));
+        } else if (a == "--replay-mlp") {
+            cfg.replay.mlp = static_cast<unsigned>(next(UINT_MAX));
         } else if (a == "--open-page") {
-            o.openPage = true;
+            cfg.dcache.pagePolicy = PagePolicy::Open;
         } else if (a == "--predictor") {
-            o.predictor = true;
+            cfg.dcache.predictor = true;
         } else if (a == "--stats") {
             o.fullStats = true;
         } else if (a == "--csv") {
@@ -122,25 +125,17 @@ parseOptions(int argc, char **argv, int first)
         } else if (a == "--json") {
             o.json = true;
         } else if (a == "--trace") {
-            if (i + 1 >= argc)
-                usage();
-            o.tracePath = argv[++i];
+            o.tracePath = value();
         } else if (a == "--replay") {
-            if (i + 1 >= argc)
-                usage();
-            o.replayPath = argv[++i];
+            cfg.replay.path = value();
         } else if (a == "--replay-mode") {
-            if (i + 1 >= argc)
-                usage();
-            if (!parseReplayMode(argv[++i], o.replayMode)) {
+            if (!parseReplayMode(value(), cfg.replay.mode)) {
                 std::fprintf(stderr,
                              "--replay-mode wants timed or afap\n");
                 usage();
             }
-        } else if (a == "--replay-mlp") {
-            o.replayMlp = static_cast<unsigned>(next(UINT_MAX));
         } else if (a == "--check") {
-            o.check = true;
+            cfg.checkProtocol = true;
         } else {
             std::fprintf(stderr, "unknown option '%s'\n", a.c_str());
             usage();
@@ -165,33 +160,13 @@ rejectRunOnly(const CliOptions &o, const char *cmd)
 
 /** run and sweep name their design: --predictor must apply to it. */
 void
-rejectPredictorWithout(const CliOptions &o, Design d)
+rejectPredictorWithout(const SystemConfig &cfg, Design d)
 {
-    if (o.predictor && !designHasPredictor(d)) {
+    if (cfg.dcache.predictor && !designHasPredictor(d)) {
         std::fprintf(stderr, "--predictor: %s has no hit predictor\n",
                      designName(d));
         usage();
     }
-}
-
-SystemConfig
-makeConfig(const CliOptions &o, Design d)
-{
-    SystemConfig cfg;
-    cfg.design = d;
-    cfg.dcache.capacityBytes = o.capacityMib << 20;
-    cfg.dcache.ways = o.ways;
-    cfg.dcache.predictor = o.predictor && designHasPredictor(d);
-    cfg.dcache.pagePolicy =
-        o.openPage ? PagePolicy::Open : PagePolicy::Close;
-    cfg.cores.opsPerCore = o.ops;
-    cfg.warmupOpsPerCore = o.warmup;
-    cfg.seed = o.seed;
-    cfg.checkProtocol = o.check;
-    cfg.replay.path = o.replayPath;
-    cfg.replay.mode = o.replayMode;
-    cfg.replay.mlp = o.replayMlp;
-    return cfg;
 }
 
 void
@@ -268,12 +243,11 @@ cmdRun(int argc, char **argv)
 {
     if (argc < 4)
         usage();
-    const CliOptions o = parseOptions(argc, argv, 4);
+    SystemConfig cfg;
+    const CliOptions o = parseOptions(argc, argv, 4, cfg);
     const WorkloadProfile &wl = findWorkload(argv[2]);
-    const Design d = parseDesign(argv[3]);
-    rejectPredictorWithout(o, d);
-
-    SystemConfig cfg = makeConfig(o, d);
+    cfg.design = parseDesign(argv[3]);
+    rejectPredictorWithout(cfg, cfg.design);
     cfg.tracePath = o.tracePath;
     System sys(cfg, wl);
     const SimReport r = sys.run();
@@ -291,7 +265,7 @@ cmdRun(int argc, char **argv)
         std::printf("\nfull statistics:\n");
         sys.dumpStats(std::cout);
     }
-    if (o.check && !o.csv && !o.json) {
+    if (cfg.checkProtocol && !o.csv && !o.json) {
         std::printf("  check          %10llu events, %llu "
                     "violation(s)\n",
                     (unsigned long long)r.checkEvents,
@@ -305,7 +279,8 @@ cmdCompare(int argc, char **argv)
 {
     if (argc < 3)
         usage();
-    const CliOptions o = parseOptions(argc, argv, 3);
+    SystemConfig base;
+    const CliOptions o = parseOptions(argc, argv, 3, base);
     rejectRunOnly(o, "compare");
     const WorkloadProfile &wl = findWorkload(argv[2]);
     const Design designs[] = {Design::NoCache, Design::CascadeLake,
@@ -315,7 +290,9 @@ cmdCompare(int argc, char **argv)
                               Design::Ideal};
     std::vector<SweepJob> jobs;
     for (Design d : designs) {
-        SystemConfig cfg = makeConfig(o, d);
+        SystemConfig cfg = base;
+        cfg.design = d;
+        cfg.dcache.predictor = base.dcache.predictor && designHasPredictor(d);
         if (!o.tracePath.empty())
             cfg.tracePath = o.tracePath + "_" + designName(d) + ".tdt";
         jobs.push_back({cfg, wl});
@@ -349,11 +326,12 @@ cmdSweep(int argc, char **argv)
 {
     if (argc < 6)
         usage();
-    const CliOptions o = parseOptions(argc, argv, 6);
+    SystemConfig base;
+    const CliOptions o = parseOptions(argc, argv, 6, base);
     rejectRunOnly(o, "sweep");
     const WorkloadProfile &wl = findWorkload(argv[2]);
-    const Design d = parseDesign(argv[3]);
-    rejectPredictorWithout(o, d);
+    base.design = parseDesign(argv[3]);
+    rejectPredictorWithout(base, base.design);
     const std::string param = argv[4];
 
     // capacity_mib is shifted to bytes; every other param is unsigned.
@@ -369,7 +347,7 @@ cmdSweep(int argc, char **argv)
 
     std::vector<SweepJob> jobs;
     for (std::uint64_t v : values) {
-        SystemConfig cfg = makeConfig(o, d);
+        SystemConfig cfg = base;
         if (param == "capacity_mib") {
             cfg.dcache.capacityBytes = v << 20;
         } else if (param == "ways") {

@@ -51,10 +51,6 @@ struct TimingParams
     Tick tHM = nsToTicks(7.5);       ///< tag result to controller (bus)
     Tick tHM_int = nsToTicks(2.5);   ///< internal hit/miss detect
     Tick tRCD_TAG = nsToTicks(7.5);  ///< tag-mat activate to compare
-    Tick tRTP_TAG = nsToTicks(2.5);
-    Tick tRRD_TAG = nsToTicks(2);
-    Tick tWR_TAG = nsToTicks(1);
-    Tick tRTW_TAG = nsToTicks(1);
     Tick tRC_TAG = nsToTicks(12);    ///< tag-bank cycle time
 
     // --- Refresh ---

@@ -51,16 +51,15 @@ class AddressMap
      */
     AddressMap(std::uint64_t capacity_bytes, unsigned channels,
                unsigned banks, std::uint64_t row_bytes)
-        : _capacity(capacity_bytes), _channels(channels), _banks(banks),
-          _rowBytes(row_bytes)
+        : _channels(channels), _banks(banks)
     {
         fatal_if(!isPow2(channels) || !isPow2(banks) ||
                      !isPow2(row_bytes) || !isPow2(capacity_bytes),
                  "AddressMap dimensions must be powers of two");
         fatal_if(row_bytes < lineBytes,
                  "row must hold at least one line");
-        _linesPerRow = _rowBytes / lineBytes;
-        std::uint64_t lines = _capacity / lineBytes;
+        _linesPerRow = row_bytes / lineBytes;
+        std::uint64_t lines = capacity_bytes / lineBytes;
         _rowsPerBank = lines / (_channels * _banks * _linesPerRow);
         fatal_if(_rowsPerBank == 0,
                  "capacity too small for channel/bank/row geometry");
@@ -71,10 +70,16 @@ class AddressMap
             static_cast<unsigned>(std::countr_zero(_linesPerRow));
     }
 
+    /** The rule every dimension obeys: nonzero and a power of two. */
+    static constexpr bool
+    isPow2(std::uint64_t v)
+    {
+        return v && !(v & (v - 1));
+    }
+
     unsigned channels() const { return _channels; }
     unsigned banks() const { return _banks; }
     std::uint64_t rowsPerBank() const { return _rowsPerBank; }
-    std::uint64_t capacity() const { return _capacity; }
 
     /**
      * Decode a byte address (RoCoRaBaCh, line-interleaved). Every
@@ -95,16 +100,8 @@ class AddressMap
     }
 
   private:
-    static constexpr bool
-    isPow2(std::uint64_t v)
-    {
-        return v && !(v & (v - 1));
-    }
-
-    std::uint64_t _capacity = 0;
     unsigned _channels = 1;
     unsigned _banks = 1;
-    std::uint64_t _rowBytes = 0;
     std::uint64_t _linesPerRow = 1;
     std::uint64_t _rowsPerBank = 1;
     std::uint64_t _lineMask = 0;

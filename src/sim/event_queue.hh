@@ -389,7 +389,6 @@ class SimObject
     virtual ~SimObject() = default;
 
     const std::string &name() const { return _name; }
-    EventQueue &eventQueue() const { return _eq; }
     Tick curTick() const { return _eq.curTick(); }
 
   protected:

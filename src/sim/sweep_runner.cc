@@ -126,6 +126,8 @@ SweepRunner::forEach(std::size_t n,
 std::vector<SimReport>
 SweepRunner::run(const std::vector<SweepJob> &jobs) const
 {
+    for (const SweepJob &job : jobs)
+        requireValid(job.cfg);
     // tdram-lint:allow(hot-alloc): one report slot per sweep job,
     // allocated before any simulation starts.
     std::vector<SimReport> reports(jobs.size());

@@ -68,7 +68,7 @@ class SweepRunner
                  // orchestration interface, not per-event code.
                  const std::function<void(std::size_t)> &fn) const;
 
-    /** Run every job; reports are returned in job order. */
+    /** Validate, then run, every job; reports come in job order. */
     std::vector<SimReport> run(const std::vector<SweepJob> &jobs) const;
 
   private:

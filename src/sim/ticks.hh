@@ -39,17 +39,6 @@ ticksToNs(Tick t)
     return static_cast<double>(t) / static_cast<double>(tickPerNs);
 }
 
-/**
- * Period of a clock in ticks.
- *
- * @param freq_ghz Clock frequency in GHz.
- */
-constexpr Tick
-clockPeriod(double freq_ghz)
-{
-    return static_cast<Tick>(1000.0 / freq_ghz + 0.5);
-}
-
 } // namespace tsim
 
 #endif // TSIM_SIM_TICKS_HH

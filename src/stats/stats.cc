@@ -25,39 +25,12 @@ StatGroup::dump(std::ostream &os) const
 
     for (const auto &[n, e] : _scalars)
         line(n, e.stat->value(), e.desc);
-    for (const auto &[n, e] : _averages) {
-        line(n + ".mean", e.stat->mean(), e.desc);
-        line(n + ".count", static_cast<double>(e.stat->count()), "");
-    }
     for (const auto &[n, e] : _histograms) {
         line(n + ".mean", e.stat->mean(), e.desc);
         line(n + ".count", static_cast<double>(e.stat->count()), "");
         line(n + ".min", e.stat->minValue(), "");
         line(n + ".max", e.stat->maxValue(), "");
         line(n + ".p95", e.stat->percentile(95), "");
-    }
-}
-
-void
-StatGroup::dumpCsv(std::ostream &os) const
-{
-    os << "name,value\n";
-    auto row = [&](const std::string &stat, double value) {
-        os << _name << '.' << stat << ',' << std::setprecision(12)
-           << value << '\n';
-    };
-    for (const auto &[n, e] : _scalars)
-        row(n, e.stat->value());
-    for (const auto &[n, e] : _averages) {
-        row(n + ".mean", e.stat->mean());
-        row(n + ".count", static_cast<double>(e.stat->count()));
-    }
-    for (const auto &[n, e] : _histograms) {
-        row(n + ".mean", e.stat->mean());
-        row(n + ".count", static_cast<double>(e.stat->count()));
-        row(n + ".min", e.stat->minValue());
-        row(n + ".max", e.stat->maxValue());
-        row(n + ".p95", e.stat->percentile(95));
     }
 }
 

@@ -95,7 +95,6 @@ class Histogram
     {
         ++_count;
         _sum += v;
-        _sumSq += v * v;
         _min = std::min(_min, v);
         _max = std::max(_max, v);
         const auto idx = static_cast<std::size_t>(v / _width);
@@ -110,15 +109,6 @@ class Histogram
     double mean() const { return _count ? _sum / _count : 0.0; }
     double minValue() const { return _count ? _min : 0.0; }
     double maxValue() const { return _count ? _max : 0.0; }
-
-    double
-    variance() const
-    {
-        if (_count < 2)
-            return 0.0;
-        double m = mean();
-        return _sumSq / _count - m * m;
-    }
 
     /** Approximate p-th percentile (0..100) from bucket boundaries. */
     double
@@ -143,7 +133,7 @@ class Histogram
     reset()
     {
         _count = 0;
-        _sum = _sumSq = 0;
+        _sum = 0;
         _min = std::numeric_limits<double>::infinity();
         _max = -std::numeric_limits<double>::infinity();
         std::fill(_buckets.begin(), _buckets.end(), 0);
@@ -157,7 +147,6 @@ class Histogram
     std::vector<std::uint64_t> _buckets;
     std::uint64_t _count = 0;
     double _sum = 0;
-    double _sumSq = 0;
     double _min = std::numeric_limits<double>::infinity();
     double _max = -std::numeric_limits<double>::infinity();
 };
@@ -182,13 +171,6 @@ class StatGroup
     }
 
     void
-    addAverage(const std::string &stat_name, const Average *a,
-               const std::string &desc = "")
-    {
-        _averages[stat_name] = {a, desc};
-    }
-
-    void
     addHistogram(const std::string &stat_name, const Histogram *h,
                  const std::string &desc = "")
     {
@@ -200,9 +182,6 @@ class StatGroup
     /** Render all registered stats as "group.stat value # desc". */
     void dump(std::ostream &os) const;
 
-    /** Render as CSV rows: name,value (header included). */
-    void dumpCsv(std::ostream &os) const;
-
   private:
     template <typename T>
     struct Entry
@@ -213,7 +192,6 @@ class StatGroup
 
     std::string _name;
     std::map<std::string, Entry<Scalar>> _scalars;
-    std::map<std::string, Entry<Average>> _averages;
     std::map<std::string, Entry<Histogram>> _histograms;
 };
 

@@ -46,23 +46,7 @@ checkTagLimit(const TagArray &tags, const char *store, std::uint64_t end)
 System::System(const SystemConfig &cfg, const WorkloadProfile &workload)
     : _cfg(cfg), _workload(workload)
 {
-    // Refuse what cannot run before building anything: no ops ends
-    // at once with an all-zero report, no MLP never issues and runs
-    // into maxRuntime, and a zero-entry flush buffer stalls every
-    // victim.
-    if (cfg.replay.path.empty()) {
-        fatal_if(cfg.cores.opsPerCore == 0,
-                 "cores.opsPerCore is 0: a synthetic run needs at least "
-                 "one op per core");
-        fatal_if(cfg.cores.mlp == 0,
-                 "cores.mlp is 0: no core could issue a DRAM-cache read");
-    }
-    fatal_if(cfg.dcache.flushEntries == 0 &&
-                 dcacheChannelConfig(cfg.design, cfg.dcache)
-                     .hasFlushBuffer,
-             "dcache.flushEntries is 0, but %s's device has a flush "
-             "buffer",
-             designName(cfg.design));
+    requireValid(cfg);
 
     // Size main memory to cover the physical footprint: the synthetic
     // profiles declare theirs; a replayed trace carries its bound in
@@ -301,36 +285,73 @@ makeChecker(const SystemConfig &cfg)
 namespace
 {
 
+/** The values a field accepts: at least lo, and powers of two if pow2. */
+struct Range
+{
+    std::uint64_t lo = 0;
+    bool pow2 = false;
+};
+
+constexpr Range any{};
+constexpr Range positive{1};
+constexpr Range powerOfTwo{1, true};
+constexpr Range wholeLines{lineBytes, true};  ///< a power of two >= a line
+
 /**
- * Call @p f(key, field) on every field the manifest holds: the one
- * list traceManifest() writes and parseTraceManifest() reads.
+ * The field list: call @p f(key, member, range) on every field of
+ * SystemConfig that shapes a run, keyed by its member path.
  */
 template <class Config, class F>
 void
-forEachManifestField(Config &cfg, F &&f)
+forEachField(Config &c, F &&f)
 {
-    f("design", cfg.design);
-    f("mmChannels", cfg.mmChannels);
-    auto &d = cfg.dcache;
-    f("dcache.capacityBytes", d.capacityBytes);
-    f("dcache.ways", d.ways);
-    f("dcache.channels", d.channels);
-    f("dcache.banks", d.banks);
-    f("dcache.rowBytes", d.rowBytes);
-    f("dcache.readQCap", d.readQCap);
-    f("dcache.writeQCap", d.writeQCap);
-    f("dcache.conflictBufEntries", d.conflictBufEntries);
-    f("dcache.flushEntries", d.flushEntries);
-    f("dcache.pagePolicy", d.pagePolicy);
-    f("dcache.predictor", d.predictor);
-    f("dcache.prefetchDegree", d.prefetchDegree);
-    f("dcache.ctrlLatency", d.ctrlLatency);
-    f("dcache.refreshEnabled", d.refreshEnabled);
-    f("dcache.pageBytes", d.pageBytes);
-    f("dcache.tdramConditionalColumn", d.tdramConditionalColumn);
+    f("design", c.design, any);
+    f("mmChannels", c.mmChannels, powerOfTwo);
+    auto &d = c.dcache;
+    f("dcache.capacityBytes", d.capacityBytes, powerOfTwo);
+    f("dcache.ways", d.ways, positive);
+    f("dcache.channels", d.channels, powerOfTwo);
+    f("dcache.banks", d.banks, powerOfTwo);
+    f("dcache.rowBytes", d.rowBytes, wholeLines);
+    f("dcache.readQCap", d.readQCap, positive);
+    f("dcache.writeQCap", d.writeQCap, positive);
+    f("dcache.conflictBufEntries", d.conflictBufEntries, positive);
+    f("dcache.flushEntries", d.flushEntries, any);
+    f("dcache.pagePolicy", d.pagePolicy, any);
+    f("dcache.predictor", d.predictor, any);
+    f("dcache.prefetchDegree", d.prefetchDegree, any);
+    f("dcache.ctrlLatency", d.ctrlLatency, any);
+    f("dcache.refreshEnabled", d.refreshEnabled, any);
+    f("dcache.pageBytes", d.pageBytes, wholeLines);
+    f("dcache.tdramConditionalColumn", d.tdramConditionalColumn, any);
+    auto &k = c.cores;
+    f("cores.cores", k.cores, positive);
+    f("cores.mlp", k.mlp, any);
+    f("cores.thinkTime", k.thinkTime, any);
+    f("cores.opsPerCore", k.opsPerCore, any);
+    f("cores.l1Bytes", k.l1Bytes, any);
+    f("cores.llcBytes", k.llcBytes, any);
+    f("warmupOpsPerCore", c.warmupOpsPerCore, any);
+    f("seed", c.seed, any);
+    f("replay.mode", c.replay.mode, any);
+    f("replay.mlp", c.replay.mlp, any);
 }
 
-/** The manifest spelling of @p v: a design name, open|close, or a count. */
+/** "<key> is <v>: <why>" if range @p r refuses @p v, else empty. */
+template <class T>
+std::string
+fieldFault(const std::string &key, const T &v, const Range &r)
+{
+    const auto n = static_cast<unsigned long long>(v);
+    if (n < r.lo)
+        return logFormat("%s is %llu: below %llu", key.c_str(), n,
+                         (unsigned long long)r.lo);
+    if (r.pow2 && !AddressMap::isPow2(n))
+        return logFormat("%s is %llu: not a power of two", key.c_str(), n);
+    return "";
+}
+
+/** The manifest spelling of @p v: a count, or the name of an enum. */
 template <class T>
 std::string
 manifestValue(const T &v)
@@ -339,6 +360,8 @@ manifestValue(const T &v)
         return designName(v);
     else if constexpr (std::is_same_v<T, PagePolicy>)
         return v == PagePolicy::Open ? "open" : "close";
+    else if constexpr (std::is_same_v<T, ReplayMode>)
+        return replayModeName(v);
     else
         return std::to_string(v);
 }
@@ -353,6 +376,8 @@ parseManifestValue(const std::string &text, T &v)
     } else if constexpr (std::is_same_v<T, PagePolicy>) {
         v = text == "open" ? PagePolicy::Open : PagePolicy::Close;
         return text == manifestValue(v);
+    } else if constexpr (std::is_same_v<T, ReplayMode>) {
+        return parseReplayMode(text, v);
     } else {
         std::uint64_t n = 0;
         const char *end = text.data() + text.size();
@@ -365,11 +390,58 @@ parseManifestValue(const std::string &text, T &v)
 
 } // namespace
 
+std::vector<std::string>
+validate(const SystemConfig &cfg)
+{
+    std::vector<std::string> problems;
+    forEachField(cfg, [&problems](const char *key, const auto &v,
+                                  const Range &r) {
+        if (std::string fault = fieldFault(key, v, r); !fault.empty())
+            problems.push_back(std::move(fault));
+    });
+    // The sets rule, unless capacity or ways is out of range already.
+    const DramCacheConfig &d = cfg.dcache;
+    if (AddressMap::isPow2(d.capacityBytes) && d.ways > 0 &&
+        !TagArray::validGeometry(d.capacityBytes, d.ways)) {
+        problems.push_back(logFormat(
+            "dcache.capacityBytes is %llu: not a power-of-two number of "
+            "dcache.ways=%u-way sets",
+            (unsigned long long)d.capacityBytes, d.ways));
+    }
+    // A zero-entry flush buffer stalls every victim.
+    if (d.flushEntries == 0 &&
+        dcacheChannelConfig(cfg.design, d).hasFlushBuffer) {
+        problems.push_back(logFormat(
+            "dcache.flushEntries is 0, but %s's device has a flush buffer",
+            designName(cfg.design)));
+    }
+    // No ops ends at once with an all-zero report; no MLP never issues
+    // and runs into maxRuntime. A replayed trace needs neither.
+    if (cfg.replay.path.empty() && cfg.cores.opsPerCore == 0)
+        problems.push_back("cores.opsPerCore is 0: a synthetic run needs "
+                           "at least one op per core");
+    if (cfg.replay.path.empty() && cfg.cores.mlp == 0)
+        problems.push_back(
+            "cores.mlp is 0: no core could issue a DRAM-cache read");
+    return problems;
+}
+
+void
+requireValid(const SystemConfig &cfg)
+{
+    const std::vector<std::string> problems = validate(cfg);
+    for (const std::string &p : problems)
+        std::fprintf(stderr, "invalid config: %s\n", p.c_str());
+    if (!problems.empty())
+        std::exit(1);
+}
+
 std::string
 traceManifest(const SystemConfig &cfg)
 {
     std::string text;
-    forEachManifestField(cfg, [&text](const char *key, const auto &v) {
+    forEachField(cfg, [&text](const char *key, const auto &v,
+                              const Range &) {
         text += std::string(key) + "=" + manifestValue(v) + "\n";
     });
     return text;
@@ -383,7 +455,7 @@ parseTraceManifest(const std::string &manifest, SystemConfig &cfg,
     std::istringstream in(manifest);
     std::string line;
     error = manifest.empty() ? "the trace has no manifest" : "";
-    forEachManifestField(cfg, [&](const std::string &key, auto &v) {
+    forEachField(cfg, [&](const std::string &key, auto &v, const Range &r) {
         if (!error.empty())
             return;
         if (!std::getline(in, line))
@@ -393,6 +465,8 @@ parseTraceManifest(const std::string &manifest, SystemConfig &cfg,
                     key + "')";
         else if (!parseManifestValue(line.substr(key.size() + 1), v))
             error = "manifest value out of range: " + line;
+        else
+            error = fieldFault(key, v, r);
     });
     if (error.empty() && std::getline(in, line))
         error = "unexpected manifest line '" + line + "' after the last key";

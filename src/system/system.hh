@@ -27,7 +27,11 @@
 namespace tsim
 {
 
-/** Everything needed to build and run one simulation. */
+/**
+ * Everything needed to build and run one simulation. The field list in
+ * system.cc keys each value but the paths and checkProtocol, with its
+ * range; validate() and the trace manifest read it.
+ */
 struct SystemConfig
 {
     Design design = Design::Tdram;
@@ -141,7 +145,6 @@ class System
     /** Warm up, run to completion, and collect the report. */
     SimReport run();
 
-    EventQueue &eventQueue() { return _eq; }
     DramCacheCtrl &dcache() { return *_dcache; }
     MainMemory &mainMemory() { return *_mm; }
     RequestEngine &engine() { return *_engine; }
@@ -161,7 +164,6 @@ class System
     }
 
     const SystemConfig &config() const { return _cfg; }
-    Tracer *tracer() { return _tracer.get(); }
     ProtocolChecker *checker() { return _checker.get(); }
 
     /** Dump all registered stats (debugging / examples). */
@@ -192,15 +194,24 @@ class System
 std::unique_ptr<ProtocolChecker> makeChecker(const SystemConfig &cfg);
 
 /**
+ * Every reason @p cfg cannot run, each naming its key: a field out of
+ * its range, or a broken cross-field rule. Empty if it can run.
+ */
+std::vector<std::string> validate(const SystemConfig &cfg);
+
+/** Print validate(@p cfg)'s problems to stderr and exit 1, if any. */
+void requireValid(const SystemConfig &cfg);
+
+/**
  * The .tdt manifest of @p cfg (DESIGN.md §10): a `key=value` line per
- * field makeChecker reads (design, mmChannels, all of dcache).
+ * field of the field list, so a trace records its whole run.
  */
 std::string traceManifest(const SystemConfig &cfg);
 
 /**
  * Read @p manifest's fields back into @p cfg. False, with @p error
  * set, on an empty manifest, a line that is not the next field's
- * `key=`, a missing or extra line, or a value out of range.
+ * `key=`, a missing or extra line, or a value out of its field's range.
  */
 bool parseTraceManifest(const std::string &manifest, SystemConfig &cfg,
                         std::string &error);

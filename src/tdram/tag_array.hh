@@ -79,16 +79,24 @@ class TagArray
     TagArray(std::uint64_t capacity_bytes, unsigned ways = 1)
         : _ways(ways)
     {
-        fatal_if(ways == 0, "associativity must be >= 1");
-        std::uint64_t lines = capacity_bytes / lineBytes;
-        fatal_if(lines == 0 || lines % ways != 0,
-                 "capacity must be a multiple of ways*lineBytes");
+        fatal_if(!validGeometry(capacity_bytes, ways),
+                 "%llu bytes do not split into a power-of-two number of "
+                 "%u-way sets", (unsigned long long)capacity_bytes, ways);
+        const std::uint64_t lines = capacity_bytes / lineBytes;
         _sets = lines / ways;
-        fatal_if(_sets & (_sets - 1), "set count must be a power of two");
         _setShift = static_cast<unsigned>(std::countr_zero(_sets));
         _meta.resize(lines);
         if (ways > 1)
             _lru.resize(lines);
+    }
+
+    /** The constructor's rule: a power-of-two number of ways-way sets. */
+    static bool
+    validGeometry(std::uint64_t capacity_bytes, unsigned ways)
+    {
+        const std::uint64_t lines = capacity_bytes / lineBytes;
+        return ways > 0 && lines % ways == 0 &&
+               std::has_single_bit(lines / ways);
     }
 
     std::uint64_t numSets() const { return _sets; }
@@ -235,9 +243,6 @@ class TagArray
         if (p.result.hit)
             _meta[p.line] &= ~validBit;
     }
-
-    /** True if the line is resident. */
-    bool isHit(Addr addr) const { return peek(addr).hit; }
 
     /** Number of valid lines (for tests / occupancy reporting). */
     std::uint64_t

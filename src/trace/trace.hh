@@ -160,7 +160,8 @@ struct TraceFileHeader
     std::uint64_t manifestBytes = 0;
 
     static constexpr std::uint32_t magicValue = 0x54445431; ///< "1TDT"
-    static constexpr std::uint32_t versionValue = 2;
+    /** 3: the manifest holds every field of the config's field list. */
+    static constexpr std::uint32_t versionValue = 3;
 };
 
 static_assert(sizeof(TraceFileHeader) == 40,

@@ -5,12 +5,18 @@
 namespace tsim
 {
 
+constexpr unsigned l1Ways = 8;
+constexpr Tick l1Latency = nsToTicks(1);
+constexpr unsigned llcWays = 16;
+constexpr Tick llcLatency = nsToTicks(4);
+constexpr Tick retryInterval = nsToTicks(4);  ///< backpressure retry period
+
 CoreEngine::CoreEngine(
     EventQueue &eq, std::string name, const CoreConfig &cfg,
     std::vector<std::unique_ptr<AddressGenerator>> gens,
     DramCacheCtrl &dcache, std::uint64_t seed)
     : RequestEngine(eq, std::move(name)), _cfg(cfg), _dcache(dcache),
-      _llc("llc", cfg.llcBytes, cfg.llcWays),
+      _llc("llc", cfg.llcBytes, llcWays),
       _rng(seed)
 {
     fatal_if(gens.size() != cfg.cores,
@@ -19,7 +25,7 @@ CoreEngine::CoreEngine(
     _cores.resize(cfg.cores);
     for (unsigned c = 0; c < cfg.cores; ++c) {
         _l1s.push_back(std::make_unique<SramCache>(
-            "l1." + std::to_string(c), cfg.l1Bytes, cfg.l1Ways));
+            "l1." + std::to_string(c), cfg.l1Bytes, l1Ways));
         _cores[c].gen = std::move(gens[c]);
     }
 }
@@ -98,7 +104,7 @@ CoreEngine::advance(unsigned c)
         core.readyAt = now;
 
     if (!drainStalled(c)) {
-        scheduleAdvance(c, now + _cfg.retryInterval);
+        scheduleAdvance(c, now + retryInterval);
         return;
     }
 
@@ -112,7 +118,7 @@ CoreEngine::advance(unsigned c)
 
         const MemOp op = core.gen->next(_rng);
         ++core.issued;
-        core.readyAt += _cfg.thinkTime + _cfg.l1Latency;
+        core.readyAt += _cfg.thinkTime + l1Latency;
 
         const Addr line = lineAlign(op.addr);
         SramCache &l1 = *_l1s[c];
@@ -138,7 +144,7 @@ CoreEngine::advance(unsigned c)
             }
         }
 
-        core.readyAt += _cfg.llcLatency;
+        core.readyAt += llcLatency;
         // Demand fetch through the LLC. Stores dirty the L1 only;
         // dirtiness reaches the LLC via L1 writebacks.
         const auto llcres = _llc.access(line, false);
@@ -152,7 +158,7 @@ CoreEngine::advance(unsigned c)
         }
         if (llcres.hit) {
             if (!drainStalled(c)) {
-                scheduleAdvance(c, now + _cfg.retryInterval);
+                scheduleAdvance(c, now + retryInterval);
                 return;
             }
             ++core.retired;
@@ -171,7 +177,7 @@ CoreEngine::advance(unsigned c)
         pushStalled(core, rd);
 
         if (!drainStalled(c)) {
-            scheduleAdvance(c, now + _cfg.retryInterval);
+            scheduleAdvance(c, now + retryInterval);
             return;
         }
     }

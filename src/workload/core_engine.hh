@@ -37,14 +37,7 @@ struct CoreConfig
     std::uint64_t opsPerCore = 100000;
 
     std::uint64_t l1Bytes = 64 * 1024;
-    unsigned l1Ways = 8;
-    Tick l1Latency = nsToTicks(1);
-
     std::uint64_t llcBytes = 2 * 1024 * 1024;
-    unsigned llcWays = 16;
-    Tick llcLatency = nsToTicks(4);
-
-    Tick retryInterval = nsToTicks(4); ///< backpressure retry period
 
     bool operator==(const CoreConfig &) const = default;
 };

@@ -5,6 +5,8 @@
 namespace tsim
 {
 
+constexpr Tick retryInterval = nsToTicks(4);  ///< backpressure retry period
+
 const char *
 replayModeName(ReplayMode m)
 {
@@ -109,7 +111,7 @@ TraceReplayEngine::pump()
         }
         if (!issueLine()) {
             ++backpressureStalls;
-            schedulePump(curTick() + _cfg.retryInterval);
+            schedulePump(curTick() + retryInterval);
             return;
         }
     }

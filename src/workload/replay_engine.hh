@@ -63,8 +63,6 @@ struct ReplayConfig
      */
     unsigned mlp = 0;
 
-    Tick retryInterval = nsToTicks(4);  ///< backpressure retry period
-
     bool operator==(const ReplayConfig &) const = default;
 };
 

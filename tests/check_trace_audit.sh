@@ -11,9 +11,10 @@
 #       the conditional column on and off); every one must audit
 #       clean.
 #   check_trace_audit.sh <trace_tool> refuse <tdram_cli> <case>
-#       <case> is v1, truncated, unknown-key or out-of-range: a fresh
-#       TDRAM trace, patched that way, must be refused with a nonzero
-#       exit and a message naming the file and the fault.
+#       <case> is v1, v2, truncated, unknown-key, out-of-range or
+#       channels: a fresh TDRAM trace, patched that way, must be
+#       refused with a nonzero exit and a message naming the file and
+#       the fault.
 
 set -u
 
@@ -65,6 +66,12 @@ refuse)
             2>/dev/null
         want="unsupported trace version 1"
         ;;
+    v2)
+        # Version 2 manifests describe the device alone.
+        printf '\002' | dd of="$t" bs=1 seek=4 count=1 conv=notrunc \
+            2>/dev/null
+        want="unsupported trace version 2 (want 3"
+        ;;
     truncated)
         # The 40-byte header, then only 10 bytes of the manifest.
         head -c 50 "$t" > "$t.cut" && mv "$t.cut" "$t"
@@ -77,6 +84,11 @@ refuse)
     out-of-range)
         patch_after "$t" "dcache.refreshEnabled=" 7
         want="manifest value out of range: dcache.refreshEnabled=7"
+        ;;
+    channels)
+        # In the field's type, but no AddressMap has 3 channels.
+        patch_after "$t" "dcache.channels=" 3
+        want="dcache.channels is 3: not a power of two"
         ;;
     *)
         echo "unknown case '$4'"

@@ -116,13 +116,16 @@ INSTANTIATE_TEST_SUITE_P(AllDevicesAndPolicies, CleanRun,
                          ::testing::ValuesIn(cleanCases()),
                          cleanRunName);
 
-/** A config in which every manifest field differs from its default. */
+/**
+ * A runnable config in which every field of the field list differs
+ * from its default.
+ */
 SystemConfig
 manifestCfg()
 {
     SystemConfig cfg;
     cfg.design = Design::Banshee;
-    cfg.mmChannels = 3;
+    cfg.mmChannels = 4;
     DramCacheConfig &d = cfg.dcache;
     d.capacityBytes = 64ULL << 20;
     d.ways = 4;
@@ -140,6 +143,17 @@ manifestCfg()
     d.refreshEnabled = false;
     d.pageBytes = 8192;
     d.tdramConditionalColumn = false;
+    CoreConfig &k = cfg.cores;
+    k.cores = 2;
+    k.mlp = 6;
+    k.thinkTime = nsToTicks(5);
+    k.opsPerCore = 700;
+    k.l1Bytes = 32 * 1024;
+    k.llcBytes = 4 * 1024 * 1024;
+    cfg.warmupOpsPerCore = 300;
+    cfg.seed = 9;
+    cfg.replay.mode = ReplayMode::Afap;
+    cfg.replay.mlp = 3;
     return cfg;
 }
 
@@ -164,7 +178,7 @@ TEST(TraceManifest, RoundTripsEveryField)
     const std::vector<std::string> dflt =
         lines(traceManifest(SystemConfig{}));
     ASSERT_EQ(got.size(), dflt.size());
-    ASSERT_EQ(got.size(), 18u);
+    ASSERT_EQ(got.size(), 28u);
     for (std::size_t i = 0; i < got.size(); ++i)
         EXPECT_NE(got[i], dflt[i]);
 
@@ -172,6 +186,7 @@ TEST(TraceManifest, RoundTripsEveryField)
     std::string error;
     ASSERT_TRUE(parseTraceManifest(text, back, error)) << error;
     EXPECT_TRUE(back == cfg);
+    EXPECT_TRUE(validate(cfg).empty());
 }
 
 TEST(TraceManifest, RefusesMalformedInput)
@@ -215,6 +230,42 @@ TEST(TraceManifest, RefusesMalformedInput)
               "manifest value out of range: dcache.pagePolicy=shut");
     EXPECT_EQ(refusal(with("mmChannels", "-1")),
               "manifest value out of range: mmChannels=-1");
+    EXPECT_EQ(refusal(with("replay.mode", "slow")),
+              "manifest value out of range: replay.mode=slow");
+    // Within the type but outside the field's range.
+    EXPECT_EQ(refusal(with("dcache.channels", "3")),
+              "dcache.channels is 3: not a power of two");
+    EXPECT_EQ(refusal(with("dcache.rowBytes", "32")),
+              "dcache.rowBytes is 32: below 64");
+}
+
+TEST(Validate, ReportsEveryBadFieldByKey)
+{
+    EXPECT_TRUE(validate(SystemConfig{}).empty());
+
+    SystemConfig cfg;
+    cfg.dcache.channels = 3;
+    cfg.dcache.ways = 3;
+    cfg.cores.mlp = 0;
+    EXPECT_EQ(validate(cfg),
+              (std::vector<std::string>{
+                  "dcache.channels is 3: not a power of two",
+                  "dcache.capacityBytes is 16777216: not a power-of-two "
+                  "number of dcache.ways=3-way sets",
+                  "cores.mlp is 0: no core could issue a DRAM-cache "
+                  "read"}));
+
+    // A replayed trace needs no ops per core; the device rules hold.
+    cfg = SystemConfig{};
+    cfg.replay.path = "run.tdtz";
+    cfg.cores.opsPerCore = 0;
+    cfg.dcache.flushEntries = 0;
+    cfg.dcache.rowBytes = 32;
+    EXPECT_EQ(validate(cfg),
+              (std::vector<std::string>{
+                  "dcache.rowBytes is 32: below 64",
+                  "dcache.flushEntries is 0, but TDRAM's device has a "
+                  "flush buffer"}));
 }
 
 TEST(TraceManifest, AuditRefusesATraceItsManifestDoesNotDescribe)

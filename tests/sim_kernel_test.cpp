@@ -27,8 +27,6 @@ TEST(Ticks, Conversions)
     EXPECT_EQ(nsToTicks(7.5), 7500u);
     EXPECT_EQ(nsToTicks(0.5), 500u);
     EXPECT_DOUBLE_EQ(ticksToNs(12000), 12.0);
-    EXPECT_EQ(clockPeriod(2.0), 500u);
-    EXPECT_EQ(clockPeriod(5.0), 200u);
 }
 
 TEST(EventQueue, ExecutesInTimeOrder)

@@ -119,19 +119,6 @@ TEST(System, DumpStatsProducesOutput)
     EXPECT_NE(out.find("system.llc.hits"), std::string::npos);
 }
 
-TEST(System, StatGroupCsvExport)
-{
-    System sys(tinyCfg(Design::Ndc), findWorkload("bfs.22"));
-    sys.run();
-    StatGroup g("csv");
-    sys.dcache().regStats(g);
-    std::ostringstream os;
-    g.dumpCsv(os);
-    const std::string out = os.str();
-    EXPECT_EQ(out.rfind("name,value\n", 0), 0u);
-    EXPECT_NE(out.find("csv.demand_reads,"), std::string::npos);
-}
-
 TEST(System, ConfigurationKnobsReachTheCache)
 {
     SystemConfig cfg = tinyCfg(Design::Tdram);

@@ -52,8 +52,8 @@ TEST(TagArray, DirectMappedConflictReportsVictim)
     EXPECT_TRUE(r.dirty);
     EXPECT_EQ(r.victimAddr, a);
     t.install(b, false);
-    EXPECT_FALSE(t.isHit(a));
-    EXPECT_TRUE(t.isHit(b));
+    EXPECT_FALSE(t.peek(a).hit);
+    EXPECT_TRUE(t.peek(b).hit);
 }
 
 TEST(TagArray, DirtyTracking)
@@ -72,7 +72,7 @@ TEST(TagArray, InvalidateRemovesLine)
     TagArray t(kCap);
     t.install(0x80, true);
     t.invalidate(0x80);
-    EXPECT_FALSE(t.isHit(0x80));
+    EXPECT_FALSE(t.peek(0x80).hit);
     EXPECT_EQ(t.validCount(), 0u);
 }
 
@@ -80,7 +80,7 @@ TEST(TagArray, LineOffsetIgnored)
 {
     TagArray t(kCap);
     t.install(0x1000, false);
-    EXPECT_TRUE(t.isHit(0x1000 + 63));
+    EXPECT_TRUE(t.peek(0x1000 + 63).hit);
 }
 
 TEST(TagArray, SetAssociativeLruEviction)
@@ -96,8 +96,8 @@ TEST(TagArray, SetAssociativeLruEviction)
     EXPECT_FALSE(r.hit);
     EXPECT_EQ(r.victimAddr, 1 * sets * lineBytes);
     t.install(4 * sets * lineBytes, false);
-    EXPECT_FALSE(t.isHit(1 * sets * lineBytes));
-    EXPECT_TRUE(t.isHit(0));
+    EXPECT_FALSE(t.peek(1 * sets * lineBytes).hit);
+    EXPECT_TRUE(t.peek(0).hit);
 }
 
 TEST(TagArray, VictimPrefersInvalidWay)
@@ -107,8 +107,8 @@ TEST(TagArray, VictimPrefersInvalidWay)
     t.install(0, true);
     // Second way still invalid: installing must not evict line 0.
     t.install(sets * lineBytes, false);
-    EXPECT_TRUE(t.isHit(0));
-    EXPECT_TRUE(t.isHit(sets * lineBytes));
+    EXPECT_TRUE(t.peek(0).hit);
+    EXPECT_TRUE(t.peek(sets * lineBytes).hit);
 }
 
 TEST(TagArray, InstallIsIdempotentForResidentLine)
