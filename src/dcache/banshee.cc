@@ -9,8 +9,9 @@ BansheeCtrl::BansheeCtrl(EventQueue &eq, std::string name,
       _remap(eq, name + ".remap", cfg.capacityBytes, cfg.pageBytes,
              cfg.ways)
 {
-    fatal_if(cfg.pageBytes % (lineBytes * cfg.channels) != 0,
-             "pageBytes must split evenly over the channels");
+    fatal_if(!pageSplitsOverChannels(cfg.pageBytes, cfg.channels),
+             "%llu B pages do not split into whole lines over %u channels",
+             (unsigned long long)cfg.pageBytes, cfg.channels);
 }
 
 bool

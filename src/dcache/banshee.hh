@@ -46,6 +46,14 @@ class BansheeCtrl : public DramCacheCtrl
     void warmAccess(Addr addr, bool is_write) override;
     void regStats(StatGroup &g) const override;
 
+    /** The constructor's rule: a page is whole lines on every channel. */
+    static bool
+    pageSplitsOverChannels(std::uint64_t page_bytes, unsigned channels)
+    {
+        return channels > 0 &&
+               page_bytes % (std::uint64_t{lineBytes} * channels) == 0;
+    }
+
     const RemapTable &remapTable() const { return _remap; }
 
     /** Drained only when no page fill (spills included) is in flight. */

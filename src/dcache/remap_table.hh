@@ -22,6 +22,7 @@
 #ifndef TSIM_DCACHE_REMAP_TABLE_HH
 #define TSIM_DCACHE_REMAP_TABLE_HH
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -58,14 +59,25 @@ class RemapTable : public SimObject
         : SimObject(eq, std::move(name)), _pageBytes(page_bytes),
           _ways(ways)
     {
-        fatal_if(ways == 0, "associativity must be >= 1");
+        fatal_if(!validGeometry(capacity_bytes, page_bytes, ways),
+                 "%llu B do not split into a power-of-two number of "
+                 "%u-way sets of %llu B pages",
+                 (unsigned long long)capacity_bytes, ways,
+                 (unsigned long long)page_bytes);
         const std::uint64_t pages = capacity_bytes / page_bytes;
-        fatal_if(pages == 0 || pages % ways != 0,
-                 "capacity must be a multiple of ways*pageBytes");
         _sets = pages / ways;
-        fatal_if(_sets & (_sets - 1),
-                 "remap set count must be a power of two");
         _entries.resize(pages);
+    }
+
+    /** The constructor's rule: a power-of-two number of ways-way sets. */
+    static bool
+    validGeometry(std::uint64_t capacity_bytes, std::uint64_t page_bytes,
+                  unsigned ways)
+    {
+        const std::uint64_t pages =
+            page_bytes ? capacity_bytes / page_bytes : 0;
+        return ways > 0 && pages % ways == 0 &&
+               std::has_single_bit(pages / ways);
     }
 
     std::uint64_t numSets() const { return _sets; }

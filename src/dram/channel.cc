@@ -29,8 +29,8 @@ subClamp(Tick a, Tick b)
 DramChannel::DramChannel(EventQueue &eq, std::string name,
                          ChannelConfig cfg, AddressMap map)
     : SimObject(eq, std::move(name)), _cfg(cfg), _map(map),
-      _t(_cfg.timing), _banks(cfg.banks),
-      _flush(cfg.flushEntries)
+      _t(_cfg.timing), _readIndex(2 * std::size_t{cfg.readQCap}),
+      _banks(cfg.banks), _flush(cfg.flushEntries)
 {
     fatal_if(_cfg.banks == 0, "channel needs at least one bank");
 
@@ -41,14 +41,6 @@ DramChannel::DramChannel(EventQueue &eq, std::string name,
     for (std::uint32_t i = 0; i < cap; ++i)
         _pool[i].next = (i + 1 < cap) ? i + 1 : NIL;
     _freeHead = cap ? 0 : NIL;
-
-    // Read-id index: power-of-two table at <= 1/2 load factor.
-    std::size_t want = 2 * std::max<std::size_t>(_cfg.readQCap, 4);
-    std::size_t size = 1;
-    while (size < want)
-        size <<= 1;
-    _readIndex.resize(size);
-    _indexMask = static_cast<std::uint32_t>(size - 1);
 
     _orphans.resize(std::max(1u, _cfg.readQCap));
 
@@ -210,72 +202,6 @@ DramChannel::rebuildHitCounts(BankState &b)
 }
 
 // ---------------------------------------------------------------------
-// Read id -> node index (open addressing, linear probing).
-// ---------------------------------------------------------------------
-
-std::uint64_t
-DramChannel::hashId(std::uint64_t id)
-{
-    id *= 0x9e3779b97f4a7c15ull;
-    return id ^ (id >> 32);
-}
-
-void
-DramChannel::indexInsert(std::uint64_t id, std::uint32_t node)
-{
-    std::uint32_t s =
-        static_cast<std::uint32_t>(hashId(id)) & _indexMask;
-    while (_readIndex[s].node != NIL)
-        s = (s + 1) & _indexMask;
-    _readIndex[s].id = id;
-    _readIndex[s].node = node;
-}
-
-std::uint32_t
-DramChannel::indexFind(std::uint64_t id) const
-{
-    std::uint32_t s =
-        static_cast<std::uint32_t>(hashId(id)) & _indexMask;
-    while (_readIndex[s].node != NIL) {
-        if (_readIndex[s].id == id)
-            return _readIndex[s].node;
-        s = (s + 1) & _indexMask;
-    }
-    return NIL;
-}
-
-void
-DramChannel::indexErase(std::uint64_t id)
-{
-    std::uint32_t s =
-        static_cast<std::uint32_t>(hashId(id)) & _indexMask;
-    for (;;) {
-        if (_readIndex[s].node == NIL)
-            return;
-        if (_readIndex[s].id == id)
-            break;
-        s = (s + 1) & _indexMask;
-    }
-    // Backward-shift deletion keeps probe chains contiguous without
-    // tombstones.
-    std::uint32_t hole = s;
-    std::uint32_t j = s;
-    for (;;) {
-        j = (j + 1) & _indexMask;
-        if (_readIndex[j].node == NIL)
-            break;
-        const std::uint32_t home =
-            static_cast<std::uint32_t>(hashId(_readIndex[j].id)) &
-            _indexMask;
-        if (((j - home) & _indexMask) >= ((j - hole) & _indexMask)) {
-            _readIndex[hole] = _readIndex[j];
-            hole = j;
-        }
-    }
-    _readIndex[hole].node = NIL;
-}
-
-// ---------------------------------------------------------------------
 // Orphaned tag callbacks: a probed request can leave the queue (issue
 // or probe-miss-clean retire) while its probe HM event — and, after
 // issue, the MAIN HM event — are still in flight. The callback parks
@@ -329,12 +255,12 @@ DramChannel::orphanDeliver(std::uint64_t id, Tick t,
 void
 DramChannel::deliverProbe(std::uint64_t id, Tick t, const TagResult &tr)
 {
-    const std::uint32_t idx = indexFind(id);
-    if (idx == NIL) {
+    const std::uint32_t *idx = _readIndex.find(id);
+    if (!idx) {
         orphanDeliver(id, t, tr);
         return;
     }
-    ReqNode &n = _pool[idx];
+    ReqNode &n = _pool[*idx];
     n.probePending = false;
     if (!n.req.onTagResult)
         return;
@@ -342,9 +268,8 @@ DramChannel::deliverProbe(std::uint64_t id, Tick t, const TagResult &tr)
     // request (removeRead) from inside it, freeing the node.
     ChanTagCb cb = std::move(n.req.onTagResult);
     cb(t, tr);
-    const std::uint32_t again = indexFind(id);
-    if (again != NIL)
-        _pool[again].req.onTagResult = std::move(cb);
+    if (const std::uint32_t *again = _readIndex.find(id))
+        _pool[*again].req.onTagResult = std::move(cb);
 }
 
 // ---------------------------------------------------------------------
@@ -374,7 +299,7 @@ DramChannel::enqueue(ChanReq req)
     bankLink(b, dir, idx);
     ++_qCount[dir];
     if (dir == DirRead) {
-        indexInsert(n.req.id, idx);
+        _readIndex[n.req.id] = idx;
         if (wantsProbe(n.req))
             probeLink(idx);
     }
@@ -416,9 +341,10 @@ DramChannel::skipEnqueueKick(std::uint32_t idx)
 bool
 DramChannel::removeRead(std::uint64_t id)
 {
-    const std::uint32_t idx = indexFind(id);
-    if (idx == NIL)
+    const std::uint32_t *found = _readIndex.find(id);
+    if (!found)
         return false;
+    const std::uint32_t idx = *found;
     ReqNode &n = _pool[idx];
     emit(*this, ReadRetiredEv{
         .queueDelayNs = ticksToNs(curTick() - n.req.enqueued)});
@@ -433,7 +359,7 @@ DramChannel::removeRead(std::uint64_t id)
     qUnlink(DirRead, idx);
     bankUnlink(b, DirRead, idx);
     --_qCount[DirRead];
-    indexErase(id);
+    _readIndex.erase(id);
     freeNode(idx);
     return true;
 }
@@ -714,7 +640,7 @@ DramChannel::dequeueAndIssue(std::uint32_t idx)
     const unsigned dir = dirOf(n.req.op);
     BankState &b = _banks[n.req.coord.bank];
     if (dir == DirRead) {
-        indexErase(n.req.id);
+        _readIndex.erase(n.req.id);
         if (wantsProbe(n.req))
             probeUnlink(idx);
     }

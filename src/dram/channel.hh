@@ -57,6 +57,7 @@
 #include "sim/event_bus.hh"
 #include "sim/event_queue.hh"
 #include "sim/inline_function.hh"
+#include "sim/open_map.hh"
 #include "stats/stats.hh"
 #include "tdram/flush_buffer.hh"
 #include "tdram/tag_array.hh"
@@ -516,13 +517,6 @@ class DramChannel : public SimObject
         std::uint64_t openRow = 0;     ///< open page: the open row
     };
 
-    /** id→node slot of the read-queue index (open addressing). */
-    struct IdSlot
-    {
-        std::uint64_t id = 0;
-        std::uint32_t node = NIL;  ///< NIL = empty slot
-    };
-
     /**
      * Tag callback whose request left the queue while a probe result
      * (and possibly the MAIN HM event) was still in flight; both
@@ -702,14 +696,6 @@ class DramChannel : public SimObject
     void rebuildHitCounts(BankState &b);
     /// @}
 
-    /** @name O(1) id→node index over queued reads. */
-    /// @{
-    static std::uint64_t hashId(std::uint64_t id);
-    void indexInsert(std::uint64_t id, std::uint32_t node);
-    std::uint32_t indexFind(std::uint64_t id) const;
-    void indexErase(std::uint64_t id);
-    /// @}
-
     /** @name Orphaned tag callbacks (probe in flight past dequeue). */
     /// @{
     void orphanAdd(std::uint64_t id, ChanTagCb cb, std::uint8_t refs);
@@ -740,8 +726,8 @@ class DramChannel : public SimObject
     unsigned _qCount[2] = {0, 0};
     std::uint64_t _nextArrival = 0;
 
-    std::vector<IdSlot> _readIndex;
-    std::uint32_t _indexMask = 0;
+    /** Queued read id -> node; 2 x readQCap slots, so never grows. */
+    OpenHashMap<std::uint32_t> _readIndex;
 
     std::vector<OrphanCb> _orphans;
 

@@ -53,21 +53,33 @@ class AddressMap
                unsigned banks, std::uint64_t row_bytes)
         : _channels(channels), _banks(banks)
     {
-        fatal_if(!isPow2(channels) || !isPow2(banks) ||
-                     !isPow2(row_bytes) || !isPow2(capacity_bytes),
-                 "AddressMap dimensions must be powers of two");
-        fatal_if(row_bytes < lineBytes,
-                 "row must hold at least one line");
+        fatal_if(!validGeometry(capacity_bytes, channels, banks, row_bytes),
+                 "%llu B do not split into %u channels x %u banks of "
+                 "whole %llu B rows (each a power of two)",
+                 (unsigned long long)capacity_bytes, channels, banks,
+                 (unsigned long long)row_bytes);
         _linesPerRow = row_bytes / lineBytes;
         std::uint64_t lines = capacity_bytes / lineBytes;
-        _rowsPerBank = lines / (_channels * _banks * _linesPerRow);
-        fatal_if(_rowsPerBank == 0,
-                 "capacity too small for channel/bank/row geometry");
+        _rowsPerBank = capacity_bytes / channels / banks / row_bytes;
         _lineMask = lines - 1;
         _chanShift = static_cast<unsigned>(std::countr_zero(channels));
         _bankShift = static_cast<unsigned>(std::countr_zero(banks));
         _colShift =
             static_cast<unsigned>(std::countr_zero(_linesPerRow));
+    }
+
+    /**
+     * The constructor's rule: every dimension a power of two, a row
+     * of at least one line, and at least one row per bank.
+     */
+    static constexpr bool
+    validGeometry(std::uint64_t capacity_bytes, unsigned channels,
+                  unsigned banks, std::uint64_t row_bytes)
+    {
+        return isPow2(capacity_bytes) && isPow2(channels) &&
+               isPow2(banks) && isPow2(row_bytes) &&
+               row_bytes >= lineBytes &&
+               capacity_bytes / channels / banks / row_bytes > 0;
     }
 
     /** The rule every dimension obeys: nonzero and a power of two. */

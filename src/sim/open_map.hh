@@ -6,9 +6,9 @@
  * queues, pending-write counts) where the node allocation per insert
  * and pointer-chasing per lookup dominate. Linear probing over one
  * contiguous slot array, power-of-two capacity, and backward-shift
- * deletion (no tombstones) — the same scheme the channel scheduler's
- * read-id index uses (DESIGN.md §9). Nothing iterates these maps, so
- * no ordering is exposed and growth cannot perturb determinism.
+ * deletion (no tombstones). The channel scheduler's read-id index is
+ * one (DESIGN.md §9). Nothing iterates these maps, so no ordering is
+ * exposed and growth cannot perturb determinism.
  */
 
 #ifndef TSIM_SIM_OPEN_MAP_HH

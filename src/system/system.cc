@@ -6,6 +6,7 @@
 #include <sstream>
 #include <type_traits>
 
+#include "dcache/banshee.hh"
 #include "sim/logging.hh"
 #include "stats/stats.hh"
 
@@ -399,6 +400,7 @@ validate(const SystemConfig &cfg)
         if (std::string fault = fieldFault(key, v, r); !fault.empty())
             problems.push_back(std::move(fault));
     });
+    const bool fields_ok = problems.empty();
     // The sets rule, unless capacity or ways is out of range already.
     const DramCacheConfig &d = cfg.dcache;
     if (AddressMap::isPow2(d.capacityBytes) && d.ways > 0 &&
@@ -406,6 +408,33 @@ validate(const SystemConfig &cfg)
         problems.push_back(logFormat(
             "dcache.capacityBytes is %llu: not a power-of-two number of "
             "dcache.ways=%u-way sets",
+            (unsigned long long)d.capacityBytes, d.ways));
+    }
+    // The device rules that span fields, once every field is in range.
+    if (fields_ok && !AddressMap::validGeometry(d.capacityBytes, d.channels,
+                                                d.banks, d.rowBytes)) {
+        problems.push_back(logFormat(
+            "dcache.channels is %u: with dcache.banks=%u and "
+            "dcache.rowBytes=%llu, dcache.capacityBytes=%llu leaves no "
+            "row per bank",
+            d.channels, d.banks, (unsigned long long)d.rowBytes,
+            (unsigned long long)d.capacityBytes));
+    }
+    const bool banshee = fields_ok && cfg.design == Design::Banshee;
+    if (banshee &&
+        !BansheeCtrl::pageSplitsOverChannels(d.pageBytes, d.channels)) {
+        problems.push_back(logFormat(
+            "dcache.channels is %u: Banshee's dcache.pageBytes=%llu "
+            "does not split into whole lines over them",
+            d.channels, (unsigned long long)d.pageBytes));
+    }
+    if (banshee &&
+        !RemapTable::validGeometry(d.capacityBytes, d.pageBytes, d.ways)) {
+        problems.push_back(logFormat(
+            "dcache.pageBytes is %llu: Banshee's dcache.capacityBytes=%llu "
+            "is not a power-of-two number of dcache.ways=%u-way sets of "
+            "pages",
+            (unsigned long long)d.pageBytes,
             (unsigned long long)d.capacityBytes, d.ways));
     }
     // A zero-entry flush buffer stalls every victim.

@@ -143,7 +143,6 @@ struct Hamming
 };
 
 using Ham64 = Hamming<64, 7>;
-using Ham16 = Hamming<16, 5>;
 
 } // namespace
 
@@ -177,38 +176,6 @@ Secded64::injectError(Word &w, unsigned pos)
         w.data ^= 1ULL << pos;
     else
         w.check ^= std::uint8_t(1u << (pos - 64));
-}
-
-SecdedTag::Word
-SecdedTag::encode(std::uint16_t data)
-{
-    Word w;
-    w.data = data;
-    bool overall = false;
-    const std::uint8_t parities = Ham16::encode(data, overall);
-    w.check = static_cast<std::uint8_t>(parities |
-                                        (overall ? (1u << 5) : 0));
-    return w;
-}
-
-EccStatus
-SecdedTag::decode(Word &w)
-{
-    std::uint64_t data = w.data;
-    std::uint8_t check = w.check;
-    const EccStatus st = Ham16::decode(data, check);
-    w.data = static_cast<std::uint16_t>(data);
-    w.check = check;
-    return st;
-}
-
-void
-SecdedTag::injectError(Word &w, unsigned pos)
-{
-    if (pos < 16)
-        w.data ^= std::uint16_t(1u << pos);
-    else
-        w.check ^= std::uint8_t(1u << (pos - 16));
 }
 
 } // namespace tsim

@@ -1,20 +1,13 @@
 /**
  * @file
- * Error-correcting codes for TDRAM's tag and data paths (§III-C3).
+ * Error-correcting code for TDRAM's data path (§III-C3).
  *
- * TDRAM keeps *separate* ECC for tags and data:
+ * TDRAM keeps *separate* ECC for tags and data. Data uses the
+ * baseline HBM3 scheme, modelled here as the classic SECDED(72,64)
+ * Hamming+parity code at 64-bit granularity (single-error correct,
+ * double-error detect). The tags' own on-die code is not modelled.
  *
- *  - Data uses the baseline HBM3 scheme; we model the classic
- *    SECDED(72,64) Hamming+parity code at 64-bit granularity
- *    (single-error correct, double-error detect).
- *  - Tags and metadata are much smaller — the paper's direct-mapped
- *    example is 14 b tag + valid + dirty = 16 b payload protected by
- *    8 redundant bits — and are corrected by on-die circuitry before
- *    the comparator. We model that as SECDED(22,16) padded into the
- *    8-bit redundancy budget, which leaves headroom exactly as the
- *    paper notes ("8 bits ECC to cover the 16 bits").
- *
- * The codecs are functional (used by reliability tests and the
+ * The codec is functional (used by reliability tests and the
  * fault-injection harness), not on the timing path: correction
  * latency is part of the tag-mat access time in Table III.
  */
@@ -66,59 +59,6 @@ class Secded64
   private:
     static std::uint8_t syndrome(const Word &w);
     static bool overallParity(const Word &w);
-};
-
-/**
- * SECDED over a 16-bit tag+metadata payload (22,16), stored in the
- * 8-bit tag-ECC budget of §III-C3.
- */
-class SecdedTag
-{
-  public:
-    struct Word
-    {
-        std::uint16_t data = 0;
-        std::uint8_t check = 0;  ///< 6 used bits inside the 8-bit field
-    };
-
-    static Word encode(std::uint16_t data);
-    static EccStatus decode(Word &w);
-
-    /** @p pos < 22; positions 16..21 hit the check bits. */
-    static void injectError(Word &w, unsigned pos);
-
-  private:
-    static std::uint8_t syndrome(const Word &w);
-    static bool overallParity(const Word &w);
-};
-
-/**
- * Pack a TDRAM tag-store entry (paper's 1 PB / direct-mapped
- * example): 14-bit tag, valid, dirty.
- */
-struct TagEntryBits
-{
-    std::uint16_t tag14 = 0;  ///< low 14 bits used
-    bool valid = false;
-    bool dirty = false;
-
-    std::uint16_t
-    pack() const
-    {
-        return static_cast<std::uint16_t>(
-            (tag14 & 0x3fff) | (valid ? 0x4000 : 0) |
-            (dirty ? 0x8000 : 0));
-    }
-
-    static TagEntryBits
-    unpack(std::uint16_t bits)
-    {
-        TagEntryBits e;
-        e.tag14 = bits & 0x3fff;
-        e.valid = bits & 0x4000;
-        e.dirty = bits & 0x8000;
-        return e;
-    }
 };
 
 } // namespace tsim

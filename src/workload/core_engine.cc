@@ -9,13 +9,12 @@ constexpr unsigned l1Ways = 8;
 constexpr Tick l1Latency = nsToTicks(1);
 constexpr unsigned llcWays = 16;
 constexpr Tick llcLatency = nsToTicks(4);
-constexpr Tick retryInterval = nsToTicks(4);  ///< backpressure retry period
 
 CoreEngine::CoreEngine(
     EventQueue &eq, std::string name, const CoreConfig &cfg,
     std::vector<std::unique_ptr<AddressGenerator>> gens,
     DramCacheCtrl &dcache, std::uint64_t seed)
-    : RequestEngine(eq, std::move(name)), _cfg(cfg), _dcache(dcache),
+    : RequestEngine(eq, std::move(name), dcache), _cfg(cfg),
       _llc("llc", cfg.llcBytes, llcWays),
       _rng(seed)
 {
@@ -28,49 +27,6 @@ CoreEngine::CoreEngine(
             "l1." + std::to_string(c), cfg.l1Bytes, l1Ways));
         _cores[c].gen = std::move(gens[c]);
     }
-}
-
-CoreEngine::StallNode *
-CoreEngine::allocStall()
-{
-    if (!_stallFree) {
-        constexpr std::size_t chunkNodes = 64;
-        // tdram-lint:allow(hot-alloc): amortized stalled-list chunk
-        // growth — one allocation per 64 nodes, then recycled.
-        auto chunk = std::make_unique<StallNode[]>(chunkNodes);
-        for (std::size_t i = 0; i < chunkNodes; ++i) {
-            chunk[i].next = _stallFree;
-            _stallFree = &chunk[i];
-        }
-        _stallChunks.push_back(std::move(chunk));
-    }
-    StallNode *n = _stallFree;
-    _stallFree = n->next;
-    n->next = nullptr;
-    return n;
-}
-
-void
-CoreEngine::pushStalled(Core &core, const MemPacket &pkt)
-{
-    StallNode *n = allocStall();
-    n->pkt = pkt;
-    if (core.stalledTail)
-        core.stalledTail->next = n;
-    else
-        core.stalledHead = n;
-    core.stalledTail = n;
-}
-
-void
-CoreEngine::popStalled(Core &core)
-{
-    StallNode *n = core.stalledHead;
-    core.stalledHead = n->next;
-    if (!core.stalledHead)
-        core.stalledTail = nullptr;
-    n->next = _stallFree;
-    _stallFree = n;
 }
 
 void
@@ -91,6 +47,33 @@ CoreEngine::scheduleAdvance(unsigned c, Tick when)
         _cores[c].issueScheduled = false;
         advance(c);
     });
+}
+
+template <class Demand>
+CoreEngine::SramHit
+CoreEngine::sramStep(SramCache &l1, Addr line, bool is_store,
+                     Demand &&demand)
+{
+    const auto l1res = l1.access(line, is_store);
+    if (l1res.hit)
+        return SramHit::L1;
+    // A dirty L1 victim writes back into the LLC (full line, no
+    // fetch needed); the LLC may in turn evict a dirty line to the
+    // DRAM cache.
+    if (l1res.writeback) {
+        const auto wb = _llc.access(l1res.writebackAddr, true);
+        if (wb.writeback)
+            demand(wb.writebackAddr, true);
+    }
+    // Demand fetch through the LLC. Stores dirty the L1 only;
+    // dirtiness reaches the LLC via L1 writebacks.
+    const auto llcres = _llc.access(line, false);
+    if (llcres.writeback)
+        demand(llcres.writebackAddr, true);
+    if (llcres.hit)
+        return SramHit::Llc;
+    demand(line, false);
+    return SramHit::None;
 }
 
 void
@@ -120,66 +103,38 @@ CoreEngine::advance(unsigned c)
         ++core.issued;
         core.readyAt += _cfg.thinkTime + l1Latency;
 
-        const Addr line = lineAlign(op.addr);
-        SramCache &l1 = *_l1s[c];
-        const auto l1res = l1.access(line, op.isStore);
-        if (l1res.hit) {
-            ++core.retired;
-            ++opsRetired;
-            continue;
-        }
-
-        // A dirty L1 victim writes back into the LLC (full line, no
-        // fetch needed); the LLC may in turn evict a dirty line to
-        // the DRAM cache.
-        if (l1res.writeback) {
-            const auto wb = _llc.access(l1res.writebackAddr, true);
-            if (wb.writeback) {
-                MemPacket p;
+        // Park the op's demands; a read carries a synthetic PC so
+        // MAP-I sees per-stream behaviour.
+        const SramHit hit = sramStep(
+            *_l1s[c], lineAlign(op.addr), op.isStore,
+            [&](Addr addr, bool is_write) {
+                panic_if(core.stalledEnd == maxDemandsPerOp,
+                         "core %u parks more than %u demands", c,
+                         maxDemandsPerOp);
+                MemPacket &p = core.stalled[core.stalledEnd++];
+                p = MemPacket{};
                 p.id = _nextPktId++;
-                p.addr = wb.writebackAddr;
-                p.cmd = MemCmd::Write;
+                p.addr = addr;
                 p.coreId = static_cast<int>(c);
-                pushStalled(core, p);
-            }
-        }
-
-        core.readyAt += llcLatency;
-        // Demand fetch through the LLC. Stores dirty the L1 only;
-        // dirtiness reaches the LLC via L1 writebacks.
-        const auto llcres = _llc.access(line, false);
-        if (llcres.writeback) {
-            MemPacket p;
-            p.id = _nextPktId++;
-            p.addr = llcres.writebackAddr;
-            p.cmd = MemCmd::Write;
-            p.coreId = static_cast<int>(c);
-            pushStalled(core, p);
-        }
-        if (llcres.hit) {
+                if (is_write) {
+                    p.cmd = MemCmd::Write;
+                } else {
+                    p.cmd = MemCmd::Read;
+                    p.pc = (static_cast<Addr>(c) << 32) |
+                           (core.issued % 64) * 4;
+                }
+            });
+        if (hit != SramHit::L1) {
+            core.readyAt += llcLatency;
             if (!drainStalled(c)) {
                 scheduleAdvance(c, now + retryInterval);
                 return;
             }
-            ++core.retired;
-            ++opsRetired;
-            continue;
+            if (hit == SramHit::None)
+                continue;  // retired by readReturned()
         }
-
-        // LLC miss: a DRAM-cache read demand. Use a synthetic PC so
-        // MAP-I sees per-stream behaviour.
-        MemPacket rd;
-        rd.id = _nextPktId++;
-        rd.addr = line;
-        rd.cmd = MemCmd::Read;
-        rd.coreId = static_cast<int>(c);
-        rd.pc = (static_cast<Addr>(c) << 32) | (core.issued % 64) * 4;
-        pushStalled(core, rd);
-
-        if (!drainStalled(c)) {
-            scheduleAdvance(c, now + retryInterval);
-            return;
-        }
+        ++core.retired;
+        ++opsRetired;
     }
     maybeFinish(c);
 }
@@ -188,32 +143,15 @@ bool
 CoreEngine::drainStalled(unsigned c)
 {
     auto &core = _cores[c];
-    while (core.hasStalled()) {
-        MemPacket &pkt = core.stalledHead->pkt;
-        if (!issueDemand(c, pkt)) {
-            ++backpressureStalls;
+    for (; core.hasStalled(); ++core.stalledHead) {
+        if (!issueDemand(core.stalled[core.stalledHead], core.outstanding,
+                         [this, c](MemPacket &done) {
+                             readReturned(c, done);
+                         })) {
             return false;
         }
-        popStalled(core);
     }
-    return true;
-}
-
-bool
-CoreEngine::issueDemand(unsigned c, MemPacket &pkt)
-{
-    if (!_dcache.canAccept(pkt))
-        return false;
-    if (pkt.cmd == MemCmd::Read) {
-        ++_cores[c].outstanding;
-        ++demandReadsIssued;
-        _dcache.access(pkt, [this, c](MemPacket &done) {
-            readReturned(c, done);
-        });
-    } else {
-        ++demandWritesIssued;
-        _dcache.access(pkt, RespCallback{});
-    }
+    core.stalledHead = core.stalledEnd = 0;
     return true;
 }
 
@@ -221,11 +159,9 @@ void
 CoreEngine::readReturned(unsigned c, const MemPacket &pkt)
 {
     auto &core = _cores[c];
-    panic_if(core.outstanding == 0, "read returned with none in flight");
-    --core.outstanding;
+    readDone(core.outstanding, pkt);
     ++core.retired;
     ++opsRetired;
-    demandReadLatency.sample(ticksToNs(pkt.completed - pkt.created));
     if (core.issued < _cfg.opsPerCore || core.hasStalled()) {
         advance(c);
     } else {
@@ -265,19 +201,9 @@ CoreEngine::warmup(std::uint64_t ops_per_core)
             _dcache.tags().prefetch(line);
             if (i + 1 < ops_per_core)
                 ahead = core.gen->next(_rng);
-            const auto l1res = l1.access(line, op.isStore);
-            if (l1res.hit)
-                continue;
-            if (l1res.writeback) {
-                const auto wb = _llc.access(l1res.writebackAddr, true);
-                if (wb.writeback)
-                    _dcache.warmAccess(wb.writebackAddr, true);
-            }
-            const auto llcres = _llc.access(line, false);
-            if (llcres.writeback)
-                _dcache.warmAccess(llcres.writebackAddr, true);
-            if (!llcres.hit)
-                _dcache.warmAccess(line, false);
+            sramStep(l1, line, op.isStore, [this](Addr addr, bool is_write) {
+                _dcache.warmAccess(addr, is_write);
+            });
         }
     }
     for (auto &l1 : _l1s)
@@ -290,15 +216,12 @@ CoreEngine::dumpDebug(std::FILE *f) const
 {
     for (unsigned c = 0; c < _cfg.cores; ++c) {
         const Core &core = _cores[c];
-        std::size_t depth = 0;
-        for (const StallNode *n = core.stalledHead; n; n = n->next)
-            ++depth;
         std::fprintf(f,
                      "core %u: issued=%llu retired=%llu outst=%u "
-                     "stalled=%zu readyAt=%llu sched=%d fin=%d\n",
+                     "stalled=%u readyAt=%llu sched=%d fin=%d\n",
                      c, (unsigned long long)core.issued,
                      (unsigned long long)core.retired,
-                     core.outstanding, depth,
+                     core.outstanding, core.stalledEnd - core.stalledHead,
                      (unsigned long long)core.readyAt,
                      core.issueScheduled, core.finished);
     }
@@ -308,10 +231,7 @@ void
 CoreEngine::regStats(StatGroup &g) const
 {
     g.addScalar("ops_retired", &opsRetired);
-    g.addScalar("demand_reads_issued", &demandReadsIssued);
-    g.addScalar("demand_writes_issued", &demandWritesIssued);
-    g.addScalar("backpressure_stalls", &backpressureStalls);
-    g.addHistogram("demand_read_latency_ns", &demandReadLatency);
+    regDemandStats(g);
     _llc.regStats(g);
 }
 

@@ -59,9 +59,6 @@ class CoreEngine : public RequestEngine
     /** True once every core issued and retired all its operations. */
     bool done() const override { return _coresDone == _cfg.cores; }
 
-    /** Tick at which the last core finished. */
-    Tick finishTick() const override { return _finishTick; }
-
     /**
      * Warm the functional state (L1s, LLC, DRAM-cache tags) with
      * @p ops_per_core operations per core, consuming no simulated
@@ -74,23 +71,7 @@ class CoreEngine : public RequestEngine
     /** @name Statistics. */
     /// @{
     Scalar opsRetired;
-    Scalar demandReadsIssued;
-    Scalar demandWritesIssued;
-    Scalar backpressureStalls;
-    Histogram demandReadLatency{4.0, 512};  ///< ns at the core
     /// @}
-
-    double
-    meanDemandReadLatencyNs() const override
-    {
-        return demandReadLatency.mean();
-    }
-
-    std::uint64_t
-    backpressureStallCount() const override
-    {
-        return static_cast<std::uint64_t>(backpressureStalls.value());
-    }
 
     SramCache &llc() { return _llc; }
     SramCache &l1(unsigned core) { return *_l1s[core]; }
@@ -101,16 +82,19 @@ class CoreEngine : public RequestEngine
     void dumpDebug(std::FILE *f) const override;
 
   private:
-    /**
-     * Node of a core's backpressured-demand FIFO. Nodes are recycled
-     * through an engine-wide free list carved from chunked slabs, so
-     * the issue path never allocates once warm.
-     */
-    struct StallNode
+    /** Where an op's line was found in the SRAM levels. */
+    enum class SramHit
     {
-        MemPacket pkt;
-        StallNode *next = nullptr;
+        L1,
+        Llc,
+        None,
     };
+
+    /**
+     * Demands one op can leave for the DRAM cache: the dirty LLC
+     * victims of the L1 writeback and of the fetch, then the fetch.
+     */
+    static constexpr unsigned maxDemandsPerOp = 3;
 
     struct Core
     {
@@ -121,10 +105,27 @@ class CoreEngine : public RequestEngine
         Tick readyAt = 0;               ///< local pipeline time
         bool issueScheduled = false;
         bool finished = false;
-        StallNode *stalledHead = nullptr;  ///< backpressured demands
-        StallNode *stalledTail = nullptr;
-        bool hasStalled() const { return stalledHead != nullptr; }
+        /**
+         * Backpressured demands, issued from stalledHead. Only an op
+         * parks demands, and advance() drains them or returns before
+         * the next op, so one op's demands are all it ever holds.
+         */
+        MemPacket stalled[maxDemandsPerOp];
+        unsigned stalledHead = 0;
+        unsigned stalledEnd = 0;
+        bool hasStalled() const { return stalledHead < stalledEnd; }
     };
+
+    /**
+     * Run one op on @p line through a core's @p l1 and the LLC. An
+     * L1 hit ends there. Otherwise a dirty L1 victim is written into
+     * the LLC, and @p demand(addr, is_write) receives, in issue
+     * order, the dirty LLC victim that writeback evicts, the dirty
+     * LLC victim the fetch evicts, and on an LLC miss the fetch.
+     */
+    template <class Demand>
+    SramHit sramStep(SramCache &l1, Addr line, bool is_store,
+                     Demand &&demand);
 
     void advance(unsigned c);
     void scheduleAdvance(unsigned c, Tick when);
@@ -132,27 +133,16 @@ class CoreEngine : public RequestEngine
     /** Try to issue every parked demand. @return true if all went. */
     bool drainStalled(unsigned c);
 
-    bool issueDemand(unsigned c, MemPacket &pkt);
     void readReturned(unsigned c, const MemPacket &pkt);
     void maybeFinish(unsigned c);
 
-    /** Park one demand at the tail of @p core's stalled FIFO. */
-    void pushStalled(Core &core, const MemPacket &pkt);
-    /** Unlink the front stalled demand and recycle its node. */
-    void popStalled(Core &core);
-    StallNode *allocStall();
-
     CoreConfig _cfg;
-    DramCacheCtrl &_dcache;
     SramCache _llc;
     std::vector<std::unique_ptr<SramCache>> _l1s;
     std::vector<Core> _cores;
     Rng _rng;
     unsigned _coresDone = 0;
-    Tick _finishTick = 0;
     PacketId _nextPktId = 1;
-    std::vector<std::unique_ptr<StallNode[]>> _stallChunks;
-    StallNode *_stallFree = nullptr;
 };
 
 } // namespace tsim

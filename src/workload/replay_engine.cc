@@ -5,8 +5,6 @@
 namespace tsim
 {
 
-constexpr Tick retryInterval = nsToTicks(4);  ///< backpressure retry period
-
 const char *
 replayModeName(ReplayMode m)
 {
@@ -30,7 +28,7 @@ parseReplayMode(const std::string &s, ReplayMode &out)
 TraceReplayEngine::TraceReplayEngine(EventQueue &eq, std::string name,
                                      const ReplayConfig &cfg,
                                      DramCacheCtrl &dcache)
-    : RequestEngine(eq, std::move(name)), _cfg(cfg), _dcache(dcache)
+    : RequestEngine(eq, std::move(name), dcache), _cfg(cfg)
 {
     fatal_if(!_reader.open(_cfg.path), "replay: %s",
              _reader.error().c_str());
@@ -71,19 +69,10 @@ TraceReplayEngine::issueLine()
     pkt.addr = _curLine;
     pkt.cmd = _cur.isWrite ? MemCmd::Write : MemCmd::Read;
     pkt.coreId = 0;
-    if (!_dcache.canAccept(pkt))
-        return false;
-    if (pkt.cmd == MemCmd::Read) {
-        ++_outstanding;
-        ++demandReadsIssued;
-        _dcache.access(pkt, [this](MemPacket &done) {
+    if (!issueDemand(pkt, _outstanding, [this](MemPacket &done) {
             readReturned(done);
-        });
-    } else {
-        // Fire-and-forget, exactly like the CoreEngine: the System
-        // run loop waits on inFlightDemands() for the tail writes.
-        ++demandWritesIssued;
-        _dcache.access(pkt, RespCallback{});
+        })) {
+        return false;
     }
     _finishTick = std::max(_finishTick, curTick());
     if (_curLine == _curLastLine) {
@@ -110,7 +99,6 @@ TraceReplayEngine::pump()
             return;
         }
         if (!issueLine()) {
-            ++backpressureStalls;
             schedulePump(curTick() + retryInterval);
             return;
         }
@@ -132,9 +120,7 @@ TraceReplayEngine::schedulePump(Tick when)
 void
 TraceReplayEngine::readReturned(const MemPacket &pkt)
 {
-    panic_if(_outstanding == 0, "read returned with none in flight");
-    --_outstanding;
-    demandReadLatency.sample(ticksToNs(pkt.completed - pkt.created));
+    readDone(_outstanding, pkt);
     _finishTick = std::max(_finishTick, curTick());
     if (_waitingMlp) {
         _waitingMlp = false;
@@ -165,10 +151,7 @@ void
 TraceReplayEngine::regStats(StatGroup &g) const
 {
     g.addScalar("records_issued", &recordsIssued);
-    g.addScalar("demand_reads_issued", &demandReadsIssued);
-    g.addScalar("demand_writes_issued", &demandWritesIssued);
-    g.addScalar("backpressure_stalls", &backpressureStalls);
-    g.addHistogram("demand_read_latency_ns", &demandReadLatency);
+    regDemandStats(g);
 }
 
 void

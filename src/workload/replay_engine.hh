@@ -82,26 +82,12 @@ class TraceReplayEngine : public RequestEngine
         return _exhausted && _outstanding == 0;
     }
 
-    Tick finishTick() const override { return _finishTick; }
-
     /**
      * Functionally replay the first @p budget records into the
      * DRAM-cache tags (no simulated time), via a private cursor —
      * the replay cursor itself stays at record 0.
      */
     void warmup(std::uint64_t budget) override;
-
-    double
-    meanDemandReadLatencyNs() const override
-    {
-        return demandReadLatency.mean();
-    }
-
-    std::uint64_t
-    backpressureStallCount() const override
-    {
-        return static_cast<std::uint64_t>(backpressureStalls.value());
-    }
 
     void regStats(StatGroup &g) const override;
     void dumpDebug(std::FILE *f) const override;
@@ -112,10 +98,6 @@ class TraceReplayEngine : public RequestEngine
     /** @name Statistics. */
     /// @{
     Scalar recordsIssued;       ///< trace records fully issued
-    Scalar demandReadsIssued;   ///< per-line read demands
-    Scalar demandWritesIssued;  ///< per-line write demands
-    Scalar backpressureStalls;
-    Histogram demandReadLatency{4.0, 512};  ///< ns, end to end
     /// @}
 
   private:
@@ -137,7 +119,6 @@ class TraceReplayEngine : public RequestEngine
     void schedulePump(Tick when);
 
     ReplayConfig _cfg;
-    DramCacheCtrl &_dcache;
     TdtzReader _reader;
 
     // Line-expansion cursor over the current record (a record larger
@@ -152,7 +133,6 @@ class TraceReplayEngine : public RequestEngine
     unsigned _outstanding = 0;  ///< in-flight demand reads
     bool _waitingMlp = false;   ///< pump parked on a full MLP window
     bool _pumpScheduled = false;
-    Tick _finishTick = 0;
     PacketId _nextPktId = 1;
 };
 

@@ -14,6 +14,11 @@
  * until that copy was retired. The LLC lines of the dump count the
  * measured phase only; warm-up leaves them at zero.
  *
+ * The cascadelake_backpressure case shrinks the read queue to two
+ * entries so the cores stall on controller backpressure; its pins
+ * were taken from the engine that parked stalled demands in a linked
+ * FIFO, before the fixed three-slot queue replaced it.
+ *
  * The measured region (start() through the last in-flight demand)
  * must also make no InlineCallable heap fallback: every capture on the
  * hot path fits its inline buffer.
@@ -48,6 +53,8 @@ struct FrontEndCase
     Design design;
     Tick finish;            ///< engine.finishTick()
     std::uint64_t checksum; ///< finish tick, then the stats dump
+    /** Nonzero: a read queue this shallow, which stalls the cores. */
+    unsigned readQCap = 0;
 };
 
 void
@@ -83,6 +90,8 @@ TEST_P(FrontEndDigest, MatchesPinnedChecksum)
     dc_cfg.capacityBytes = kCapacity;
     dc_cfg.channels = 2;
     dc_cfg.banks = 8;
+    if (fc.readQCap)
+        dc_cfg.readQCap = fc.readQCap;
     const std::unique_ptr<DramCacheCtrl> ctrl =
         makeDramCache(eq, fc.design, dc_cfg, mm);
 
@@ -117,6 +126,9 @@ TEST_P(FrontEndDigest, MatchesPinnedChecksum)
     for (char c : stats)
         checksum = fnv(checksum, static_cast<unsigned char>(c));
 
+    if (fc.readQCap) {
+        EXPECT_GT(engine.backpressureStalls.value(), 0.0) << fc.name;
+    }
     EXPECT_EQ(engine.finishTick(), fc.finish) << fc.name;
     EXPECT_EQ(checksum, fc.checksum)
         << fc.name << ": output differs from the pinned reference "
@@ -132,7 +144,9 @@ INSTANTIATE_TEST_SUITE_P(
                      0xbe1286e06e100802ULL},
         FrontEndCase{"ndc", Design::Ndc, 22464000, 0xec80c8ea323e04bbULL},
         FrontEndCase{"tdram", Design::Tdram, 22365750,
-                     0x6bc0ecf0e3bfdaaaULL}),
+                     0x6bc0ecf0e3bfdaaaULL},
+        FrontEndCase{"cascadelake_backpressure", Design::CascadeLake,
+                     22676000, 0xaa67925282c527dfULL, 2}),
     [](const ::testing::TestParamInfo<FrontEndCase> &pi) {
         return std::string(pi.param.name);
     });

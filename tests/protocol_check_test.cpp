@@ -268,6 +268,33 @@ TEST(Validate, ReportsEveryBadFieldByKey)
                   "flush buffer"}));
 }
 
+TEST(Validate, NamesTheDeviceGeometryRules)
+{
+    SystemConfig cfg;
+    cfg.dcache.channels = 2048;
+    EXPECT_EQ(validate(cfg),
+              (std::vector<std::string>{
+                  "dcache.channels is 2048: with dcache.banks=16 and "
+                  "dcache.rowBytes=1024, dcache.capacityBytes=16777216 "
+                  "leaves no row per bank"}));
+
+    // Banshee's page rules bind Banshee only.
+    cfg = SystemConfig{};
+    cfg.dcache.channels = 128;
+    cfg.dcache.banks = 4;
+    cfg.dcache.capacityBytes = 1 << 20;
+    cfg.dcache.ways = 512;
+    EXPECT_TRUE(validate(cfg).empty());
+    cfg.design = Design::Banshee;
+    EXPECT_EQ(validate(cfg),
+              (std::vector<std::string>{
+                  "dcache.channels is 128: Banshee's dcache.pageBytes=4096 "
+                  "does not split into whole lines over them",
+                  "dcache.pageBytes is 4096: Banshee's "
+                  "dcache.capacityBytes=1048576 is not a power-of-two "
+                  "number of dcache.ways=512-way sets of pages"}));
+}
+
 TEST(TraceManifest, AuditRefusesATraceItsManifestDoesNotDescribe)
 {
     TraceFile t;

@@ -6,8 +6,8 @@
 #                  event kernel's placement-new / pool machinery and
 #                  the channel scheduler's slab pool / intrusive
 #                  lists / inline-callable moves).
-#   TSan         : SweepRunner tests, the channel stress and
-#                  old-vs-new differential schedulers, the
+#   TSan         : SweepRunner tests, the channel stress tests,
+#                  the channel scheduler's pinned-digest streams, the
 #                  conformance matrix, and a 4-worker end-to-end
 #                  tdram_repro fig01 (8 runs, each writing a .tdt
 #                  trace) — SweepRunner is the one part of the
