@@ -3,9 +3,8 @@
  * tdram_repro — the paper's evaluation (Figs 1-13, Table IV, §V-D..F
  * and the ablations) from one shared, deduplicated result set.
  *
- *   tdram_repro [figure ...] [--full] [--ops N] [--warmup N]
- *               [--seed N] [--jobs N] [--trace PREFIX]
- *               [--replay FILE.tdtz]
+ *   tdram_repro [figure ...] [--full] [--jobs N] [--trace PREFIX]
+ *               [--replay FILE.tdtz] [config options]
  *
  * Every figure declares the (SystemConfig, workload) runs it needs
  * (plan) and prints its table from the shared results (print). The
@@ -18,7 +17,10 @@
  *
  * --full runs all 28 workloads (and 40000 ops/core unless --ops is
  * given) instead of the 8-workload quick set; --trace writes one .tdt
- * per run, named by SweepRunner's applyTracePrefix.
+ * per run, named by SweepRunner's applyTracePrefix. The config options
+ * (--ops N, --warmup N, --seed N, --ways N, ...) are the option table
+ * of src/system, shared with tdram_cli; they set the base config of
+ * every run.
  */
 
 #include <algorithm>
@@ -1189,10 +1191,10 @@ const Figure kFigures[] = {
 usage(const char *argv0)
 {
     std::fprintf(stderr,
-                 "usage: %s [figure ...] [--full] [--ops N] "
-                 "[--warmup N] [--seed N] [--jobs N] [--trace PREFIX] "
-                 "[--replay FILE.tdtz]\n",
-                 argv0);
+                 "usage: %s [figure ...] [--full] [--jobs N] "
+                 "[--trace PREFIX] [--replay FILE.tdtz] [config options]\n"
+                 "config options:\n%s\n",
+                 argv0, configOptionsUsage().c_str());
     std::exit(1);
 }
 
@@ -1215,22 +1217,19 @@ int
 main(int argc, char **argv)
 {
     Options o;
-    o.base.cores.opsPerCore = 8000;
-    o.base.warmupOpsPerCore = 150000;
+    o.base = driverConfig();
     bool opsGiven = false;
     std::vector<const Figure *> figures;
     for (int i = 1; i < argc; ++i) {
+        const ConfigOption *opt = takeConfigOption(argc, argv, i, o.base);
+        if (opt) {
+            opsGiven |= std::strcmp(opt->name, "ops") == 0;
+            continue;
+        }
         const char *a = argv[i];
         const bool has_value = i + 1 < argc;
         if (std::strcmp(a, "--full") == 0) {
             o.full = true;
-        } else if (std::strcmp(a, "--ops") == 0 && has_value) {
-            o.base.cores.opsPerCore = parseCount(a, argv[++i]);
-            opsGiven = true;
-        } else if (std::strcmp(a, "--warmup") == 0 && has_value) {
-            o.base.warmupOpsPerCore = parseCount(a, argv[++i]);
-        } else if (std::strcmp(a, "--seed") == 0 && has_value) {
-            o.base.seed = parseCount(a, argv[++i]);
         } else if (std::strcmp(a, "--jobs") == 0 && has_value) {
             o.jobs = static_cast<unsigned>(parseCount(a, argv[++i], UINT_MAX));
         } else if (std::strcmp(a, "--trace") == 0 && has_value) {

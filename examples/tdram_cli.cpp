@@ -10,19 +10,21 @@
  *   tdram_cli compare <workload> [options]
  *       Every design on one workload, one row each.
  *   tdram_cli sweep <workload> <design> <param> <v1,v2,...> [options]
- *       Parameter sweep; param in {capacity_mib, ways, flush,
- *       channels, mlp, prefetch}. CSV to stdout.
+ *       Parameter sweep; param is a value option's name without the
+ *       dashes (ways, capacity, flush, channels, mlp, ...). CSV to
+ *       stdout.
  *
  * compare and sweep run their simulations in parallel on a
  * SweepRunner pool and print the rows in design or value order. They
  * print one row per run, so they reject run's --json and --stats.
  *
- * Common options: --ops N, --warmup N, --seed N, --capacity MiB,
- * --ways W, --open-page, --predictor (refused by run and sweep for a
- * design without a hit predictor; compare skips those designs).
+ * The config options (--ops N, --capacity MiB, --open-page, ...) are
+ * the option table of src/system, shared with tdram_repro; this file
+ * adds only --stats --csv --json --trace --check --replay. --predictor
+ * is refused by run and sweep for a design without a hit predictor;
+ * compare skips those designs.
  */
 
-#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -46,7 +48,6 @@ struct CliOptions
     bool fullStats = false;
     bool csv = false;
     bool json = false;  ///< run: print reportJson() instead of text
-    std::string tracePath;  ///< .tdt output (run) / prefix (others)
 };
 
 [[noreturn]] void
@@ -58,82 +59,52 @@ usage()
         "  run <workload> <design>\n"
         "  compare <workload>\n"
         "  sweep <workload> <design> <param> <v1,v2,...>\n"
-        "options: --ops N --warmup N --seed N --capacity MiB\n"
-        "         --ways W --open-page --predictor\n"
-        "         --stats --csv --json --trace PATH --check\n"
-        "         --replay FILE.tdtz --replay-mode timed|afap\n"
-        "         --replay-mlp N\n"
-        "  --stats (full statistics tree) and --json are run only\n"
-        "  --trace writes a .tdt event trace (run: exactly PATH;\n"
-        "  compare/sweep: PATH is a prefix, one file per run)\n"
-        "  --replay drives the run with a recorded .tdtz request\n"
-        "  stream instead of the synthetic generators (make one with\n"
-        "  'trace_tool convert'); --warmup then counts records. The\n"
-        "  workload argument still names the run. timed replays at\n"
-        "  the recorded inter-arrival times; afap issues as fast as\n"
-        "  the controller accepts. --replay-mlp caps outstanding\n"
-        "  reads (0 = unlimited).\n"
-        "  --check audits every command with the inline protocol\n"
-        "  checker (exit 1 on any violation)\n"
-        "  --predictor: MAP-I on CascadeLake/Alloy/BEAR/TicToc (compare\n"
-        "  skips other designs; run and sweep refuse them)\n");
+        "config options (a sweep <param> is one with a value, no --):\n"
+        "%s\n"
+        "other options:\n"
+        "  --stats --json  full statistics tree, or JSON (run only)\n"
+        "  --csv           one CSV row per run\n"
+        "  --trace PATH    .tdt event trace (compare/sweep: a prefix)\n"
+        "  --check         inline protocol checker (exit 1 on a\n"
+        "                  violation)\n"
+        "  --replay FILE   drive the run with a .tdtz request stream\n"
+        "                  ('trace_tool convert'); --warmup counts\n"
+        "                  records, --replay-mlp 0 is unlimited\n"
+        "--predictor is MAP-I on CascadeLake/Alloy/BEAR/TicToc: compare\n"
+        "skips other designs, run and sweep refuse them.\n",
+        configOptionsUsage().c_str());
     std::exit(1);
 }
 
 /**
  * Parse the options from argv[@p first] on: the output options into
  * the result, everything else into @p cfg, which starts from the
- * defaults with the CLI's run budget.
+ * drivers' base config.
  */
 CliOptions
 parseOptions(int argc, char **argv, int first, SystemConfig &cfg)
 {
-    cfg = SystemConfig{};
-    cfg.cores.opsPerCore = 8000;
-    cfg.warmupOpsPerCore = 150000;
+    cfg = driverConfig();
     CliOptions o;
     for (int i = first; i < argc; ++i) {
+        if (takeConfigOption(argc, argv, i, cfg))
+            continue;
         const std::string a = argv[i];
         auto value = [&] {
             if (i + 1 >= argc)
                 usage();
             return argv[++i];
         };
-        auto next = [&](std::uint64_t max = UINT64_MAX) {
-            return parseCount(a.c_str(), value(), max);
-        };
-        if (a == "--ops") {
-            cfg.cores.opsPerCore = next();
-        } else if (a == "--warmup") {
-            cfg.warmupOpsPerCore = next();
-        } else if (a == "--seed") {
-            cfg.seed = next();
-        } else if (a == "--capacity") {
-            cfg.dcache.capacityBytes = next(UINT64_MAX >> 20) << 20;
-        } else if (a == "--ways") {
-            cfg.dcache.ways = static_cast<unsigned>(next(UINT_MAX));
-        } else if (a == "--replay-mlp") {
-            cfg.replay.mlp = static_cast<unsigned>(next(UINT_MAX));
-        } else if (a == "--open-page") {
-            cfg.dcache.pagePolicy = PagePolicy::Open;
-        } else if (a == "--predictor") {
-            cfg.dcache.predictor = true;
-        } else if (a == "--stats") {
+        if (a == "--stats") {
             o.fullStats = true;
         } else if (a == "--csv") {
             o.csv = true;
         } else if (a == "--json") {
             o.json = true;
         } else if (a == "--trace") {
-            o.tracePath = value();
+            cfg.tracePath = value();  // compare/sweep: a prefix
         } else if (a == "--replay") {
             cfg.replay.path = value();
-        } else if (a == "--replay-mode") {
-            if (!parseReplayMode(value(), cfg.replay.mode)) {
-                std::fprintf(stderr,
-                             "--replay-mode wants timed or afap\n");
-                usage();
-            }
         } else if (a == "--check") {
             cfg.checkProtocol = true;
         } else {
@@ -248,7 +219,6 @@ cmdRun(int argc, char **argv)
     const WorkloadProfile &wl = findWorkload(argv[2]);
     cfg.design = parseDesign(argv[3]);
     rejectPredictorWithout(cfg, cfg.design);
-    cfg.tracePath = o.tracePath;
     System sys(cfg, wl);
     const SimReport r = sys.run();
     if (o.json) {
@@ -293,8 +263,8 @@ cmdCompare(int argc, char **argv)
         SystemConfig cfg = base;
         cfg.design = d;
         cfg.dcache.predictor = base.dcache.predictor && designHasPredictor(d);
-        if (!o.tracePath.empty())
-            cfg.tracePath = o.tracePath + "_" + designName(d) + ".tdt";
+        if (!base.tracePath.empty())
+            cfg.tracePath = base.tracePath + "_" + designName(d) + ".tdt";
         jobs.push_back({cfg, wl});
     }
     const std::vector<SimReport> reports = SweepRunner().run(jobs);
@@ -333,44 +303,30 @@ cmdSweep(int argc, char **argv)
     base.design = parseDesign(argv[3]);
     rejectPredictorWithout(base, base.design);
     const std::string param = argv[4];
-
-    // capacity_mib is shifted to bytes; every other param is unsigned.
-    const std::uint64_t max =
-        param == "capacity_mib" ? UINT64_MAX >> 20 : UINT_MAX;
-    std::vector<std::uint64_t> values;
-    std::stringstream ss(argv[5]);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        values.push_back(parseCount(param.c_str(), item.c_str(), max));
-    if (values.empty())
+    const ConfigOption *opt = findConfigOption(param);
+    if (!opt || opt->fixed) {
+        std::fprintf(stderr, "unknown sweep param '%s'\n", param.c_str());
         usage();
+    }
 
+    std::vector<std::string> values;
     std::vector<SweepJob> jobs;
-    for (std::uint64_t v : values) {
+    std::stringstream ss(argv[5]);
+    for (std::string v; std::getline(ss, v, ',');) {
         SystemConfig cfg = base;
-        if (param == "capacity_mib") {
-            cfg.dcache.capacityBytes = v << 20;
-        } else if (param == "ways") {
-            cfg.dcache.ways = static_cast<unsigned>(v);
-        } else if (param == "flush") {
-            cfg.dcache.flushEntries = static_cast<unsigned>(v);
-        } else if (param == "channels") {
-            cfg.dcache.channels = static_cast<unsigned>(v);
-        } else if (param == "mlp") {
-            cfg.cores.mlp = static_cast<unsigned>(v);
-        } else if (param == "prefetch") {
-            cfg.dcache.prefetchDegree = static_cast<unsigned>(v);
-        } else {
-            std::fprintf(stderr, "unknown sweep param '%s'\n",
-                         param.c_str());
-            usage();
+        const std::string error =
+            setField(cfg, opt->key, v, param, opt->scale);
+        if (!error.empty()) {
+            std::fprintf(stderr, "%s\n", error.c_str());
+            return 1;
         }
-        if (!o.tracePath.empty()) {
-            cfg.tracePath = o.tracePath + "_" + param + "_" +
-                            std::to_string(v) + ".tdt";
-        }
+        if (!base.tracePath.empty())
+            cfg.tracePath = base.tracePath + "_" + param + "_" + v + ".tdt";
+        values.push_back(v);
         jobs.push_back({cfg, wl});
     }
+    if (values.empty())
+        usage();
     const std::vector<SimReport> reports = SweepRunner().run(jobs);
 
     std::printf("param,value,");
@@ -378,8 +334,7 @@ cmdSweep(int argc, char **argv)
     std::uint64_t violations = 0;
     for (std::size_t i = 0; i < values.size(); ++i) {
         violations += reports[i].checkViolations;
-        std::printf("%s,%llu,", param.c_str(),
-                    (unsigned long long)values[i]);
+        std::printf("%s,%s,", param.c_str(), values[i].c_str());
         printCsvRow(reports[i]);
     }
     return violations ? 1 : 0;

@@ -32,48 +32,12 @@ BansheeCtrl::classifyBypass(const TxnPtr &txn, Tick when)
         return;
     txn->tagResolved = true;
 
-    const bool is_read = txn->pkt.cmd == MemCmd::Read;
-    const TagResult tr = _tags.peek(txn->pkt.addr);
-    txn->tr = tr;
-
-    AccessOutcome o;
-    if (tr.hit) {
-        o = is_read
-            ? (tr.dirty ? AccessOutcome::ReadHitDirty
-                        : AccessOutcome::ReadHitClean)
-            : (tr.dirty ? AccessOutcome::WriteHitDirty
-                        : AccessOutcome::WriteHitClean);
-    } else if (!tr.valid) {
-        o = is_read ? AccessOutcome::ReadMissInvalid
-                    : AccessOutcome::WriteMissInvalid;
-    } else {
-        o = is_read
-            ? (tr.dirty ? AccessOutcome::ReadMissDirty
-                        : AccessOutcome::ReadMissClean)
-            : (tr.dirty ? AccessOutcome::WriteMissDirty
-                        : AccessOutcome::WriteMissClean);
-    }
-    txn->pkt.outcome = o;
-    ++outcomes[static_cast<unsigned>(o)];
-
+    classify(txn, _tags.peek(txn->pkt.addr));
     txn->pkt.tagDone = when;
-    if (is_read) {
+    if (txn->pkt.cmd == MemCmd::Read) {
         emit(*this, TagResolvedEv{
             .latencyNs = ticksToNs(when - txn->pkt.tagIssued)});
     }
-}
-
-void
-BansheeCtrl::issueCacheWrite(Addr addr)
-{
-    addPendingWrite(addr);
-    ChanReq w;
-    w.id = nextChanId();
-    w.addr = addr;
-    w.op = ChanOp::Write;
-    w.onDataDone = [this, addr](Tick) { removePendingWrite(addr); };
-    accountCache(lineBytes, 0, 0);
-    enqueueChan(std::move(w), true);
 }
 
 void
@@ -94,11 +58,8 @@ BansheeCtrl::startAccess(const TxnPtr &txn)
                  name().c_str(), (unsigned long long)page,
                  (unsigned long long)addr);
         if (is_read) {
-            ChanReq req;
-            req.id = nextChanId();
+            ChanReq req = chanReq(addr, ChanOp::Read);
             txn->chanReqId = req.id;
-            req.addr = addr;
-            req.op = ChanOp::Read;
             req.isDemandRead = true;
             req.onDataDone = [this, txn = txn](Tick t) {
                 accountCache(lineBytes, 0, 0);
@@ -106,7 +67,7 @@ BansheeCtrl::startAccess(const TxnPtr &txn)
             };
             enqueueChan(std::move(req), false);
         } else {
-            issueCacheWrite(addr);
+            demandWrite(addr);
             _eq.scheduleIn(_cfg.ctrlLatency, [this, txn = txn] {
                 finish(txn, curTick());
             });
@@ -195,10 +156,7 @@ BansheeCtrl::spillVictim(Addr victim)
             continue;
         ++_spillOutstanding;
         ++spilledLines;
-        ChanReq r;
-        r.id = nextChanId();
-        r.addr = line;
-        r.op = ChanOp::Read;
+        ChanReq r = chanReq(line, ChanOp::Read);
         r.ctrlExtra = traceSpillFlag | (_fillGroup << traceGroupShift);
         r.onDataDone = [this, line](Tick) {
             accountCache(0, lineBytes, 0);
@@ -218,10 +176,7 @@ BansheeCtrl::fillLineArrived(Addr line)
     // forwardable exactly when its fill write is pending.
     _tags.install(line, false);
     addPendingWrite(line);
-    ChanReq w;
-    w.id = nextChanId();
-    w.addr = line;
-    w.op = ChanOp::Write;
+    ChanReq w = chanReq(line, ChanOp::Write);
     w.ctrlExtra = traceFillFlag | (_fillGroup << traceGroupShift);
     w.onDataDone = [this, line](Tick) {
         removePendingWrite(line);

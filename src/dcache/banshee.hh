@@ -102,9 +102,6 @@ class BansheeCtrl : public DramCacheCtrl
      */
     void classifyBypass(const TxnPtr &txn, Tick when);
 
-    /** Demand write to a mapped page: cache write + pending entry. */
-    void issueCacheWrite(Addr addr);
-
     /** Bump @p page's candidate counter; maybe kick off its fill. */
     void trackCandidate(Addr page);
 

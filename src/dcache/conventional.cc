@@ -36,11 +36,8 @@ CascadeLakeCtrl::startAccess(const TxnPtr &txn)
                [this, txn = txn](Tick t) { mmDataArrived(txn, t); });
     }
 
-    ChanReq req;
-    req.id = nextChanId();
+    ChanReq req = chanReq(addr, ChanOp::Read);
     txn->chanReqId = req.id;
-    req.addr = addr;
-    req.op = ChanOp::Read;
     req.isDemandRead = is_read;
     req.onDataDone = [this, txn = txn](Tick t) { tagDataArrived(txn, t); };
     enqueueChan(std::move(req), false);
@@ -101,22 +98,8 @@ CascadeLakeCtrl::tagDataArrived(const TxnPtr &txn, Tick t)
     } else {
         accountCache(0, 0, lineBytes + pad);
     }
-    issueDemandWrite(txn);
+    demandWrite(txn->pkt.addr);
     finish(txn, t);
-}
-
-void
-CascadeLakeCtrl::issueDemandWrite(const TxnPtr &txn)
-{
-    const Addr addr = txn->pkt.addr;
-    addPendingWrite(addr);
-    ChanReq w;
-    w.id = nextChanId();
-    w.addr = addr;
-    w.op = ChanOp::Write;
-    w.onDataDone = [this, addr](Tick) { removePendingWrite(addr); };
-    accountCache(lineBytes, 0, burstBytes() - lineBytes);
-    enqueueChan(std::move(w), true);
 }
 
 void
@@ -150,7 +133,7 @@ BearCtrl::startAccess(const TxnPtr &txn)
     // skip the tag-check read entirely (§II-B, Fig 3 caption).
     if (txn->pkt.cmd == MemCmd::Write && _tags.peek(txn->pkt.addr).hit) {
         resolveTags(txn, curTick(), /*sample_latency=*/false);
-        issueDemandWrite(txn);
+        demandWrite(txn->pkt.addr);
         _eq.scheduleIn(_cfg.ctrlLatency,
                        [this, txn = txn] { finish(txn, curTick()); });
         return;

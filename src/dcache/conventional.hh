@@ -48,9 +48,6 @@ class CascadeLakeCtrl : public DramCacheCtrl
     /** Backing-store data for a read miss arrived. */
     void mmDataArrived(const TxnPtr &txn, Tick t);
 
-    /** Enqueue the demand-write data after a write's tag check. */
-    void issueDemandWrite(const TxnPtr &txn);
-
     MapIPredictor _pred;
 };
 

@@ -226,19 +226,10 @@ DramCacheCtrl::tryFastPath(const TxnPtr &txn)
 }
 
 void
-DramCacheCtrl::resolveTags(const TxnPtr &txn, Tick when,
-                           bool sample_latency)
+DramCacheCtrl::classify(const TxnPtr &txn, const TagResult &tr)
 {
-    if (txn->tagResolved)
-        return;
-    txn->tagResolved = true;
-
-    const Addr addr = txn->pkt.addr;
     const bool is_read = txn->pkt.cmd == MemCmd::Read;
-    const TagArray::Probe probe = _tags.probe(addr);
-    const TagResult &tr = probe.result;
     txn->tr = tr;
-
     AccessOutcome o;
     if (tr.hit) {
         o = is_read
@@ -258,6 +249,21 @@ DramCacheCtrl::resolveTags(const TxnPtr &txn, Tick when,
     }
     txn->pkt.outcome = o;
     ++outcomes[static_cast<unsigned>(o)];
+}
+
+void
+DramCacheCtrl::resolveTags(const TxnPtr &txn, Tick when,
+                           bool sample_latency)
+{
+    if (txn->tagResolved)
+        return;
+    txn->tagResolved = true;
+
+    const Addr addr = txn->pkt.addr;
+    const bool is_read = txn->pkt.cmd == MemCmd::Read;
+    const TagArray::Probe probe = _tags.probe(addr);
+    const TagResult &tr = probe.result;
+    classify(txn, tr);
 
     // Functional transition. Read misses install at fill time; write
     // demands allocate immediately (insert-on-miss, write-allocate).
@@ -349,28 +355,54 @@ DramCacheCtrl::enqueueChan(ChanReq req, bool is_write)
         ch.enqueue(std::move(req));
         return;
     }
-    // Queue full: retry shortly. The channel drains continuously, so
-    // this terminates; the retry interval is one burst.
+    // Queue full: park the request in a pooled slot, so the retry
+    // event captures one pointer, not its two callbacks.
+    PoolRef<ParkedReq> parked = _parkedPool.alloc();
+    parked->req = std::move(req);
+    retryChan(std::move(parked), is_write);
+}
+
+void
+DramCacheCtrl::retryChan(PoolRef<ParkedReq> parked, bool is_write)
+{
+    // The channel drains continuously, so this terminates; the retry
+    // interval is one burst.
+    DramChannel &ch = channelFor(parked->req.addr);
     _eq.scheduleIn(ch.config().timing.tBURST,
-                   [this, req = std::move(req), is_write]() mutable {
-                       enqueueChan(std::move(req), is_write);
+                   [this, parked = std::move(parked), is_write]() mutable {
+                       DramChannel &ch = channelFor(parked->req.addr);
+                       if (is_write ? ch.canAcceptWrite()
+                                    : ch.canAcceptRead())
+                           ch.enqueue(std::move(parked->req));
+                       else
+                           retryChan(std::move(parked), is_write);
                    });
+}
+
+void
+DramCacheCtrl::writeLine(Addr addr, ChanOp op)
+{
+    addPendingWrite(addr);
+    ChanReq req = chanReq(addr, op);
+    req.onDataDone = [this, addr](Tick) { removePendingWrite(addr); };
+    enqueueChan(std::move(req), true);
 }
 
 void
 DramCacheCtrl::doFill(Addr addr)
 {
     _tags.install(addr, false);
-    addPendingWrite(addr);
-    ChanReq req;
-    req.id = nextChanId();
-    req.addr = addr;
-    req.op = fillOp();
-    req.onDataDone = [this, addr](Tick) { removePendingWrite(addr); };
     // The fill transfer is maintenance traffic; TAD designs move the
     // extra tag bytes as discarded padding.
     accountCache(0, lineBytes, burstBytes() - lineBytes);
-    enqueueChan(std::move(req), true);
+    writeLine(addr, fillOp());
+}
+
+void
+DramCacheCtrl::demandWrite(Addr addr)
+{
+    accountCache(lineBytes, 0, burstBytes() - lineBytes);
+    writeLine(addr, ChanOp::Write);
 }
 
 void

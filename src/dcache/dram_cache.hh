@@ -350,6 +350,9 @@ class DramCacheCtrl : public SimObject
     unsigned chanIdx(Addr addr) const { return _map.decode(addr).channel; }
     DramChannel &channelFor(Addr addr) { return *_chans[chanIdx(addr)]; }
 
+    /** Store @p tr in @p txn and count its Table II outcome. */
+    void classify(const TxnPtr &txn, const TagResult &tr);
+
     /**
      * Classify + apply the functional tag transition for @p txn at
      * tick @p when (the moment the controller learns the tag result).
@@ -384,6 +387,12 @@ class DramCacheCtrl : public SimObject
     /** Install the line and enqueue the design's fill write. */
     void doFill(Addr addr);
 
+    /**
+     * Enqueue the demand write of the line at @p addr: demand-serving
+     * bytes, plus a TAD burst's padding as discarded ones.
+     */
+    void demandWrite(Addr addr);
+
     /** Design-specific fill operation (Write vs ActWr). */
     virtual ChanOp fillOp() const { return ChanOp::Write; }
 
@@ -410,7 +419,16 @@ class DramCacheCtrl : public SimObject
     /** Demand-burst size on the cache DQ (64 or 80 bytes). */
     unsigned burstBytes() const { return _burstBytes; }
 
-    std::uint64_t nextChanId() { return _nextChanId++; }
+    /** A channel request of @p op on @p addr, with the next id. */
+    ChanReq
+    chanReq(Addr addr, ChanOp op)
+    {
+        ChanReq req;
+        req.id = _nextChanId++;
+        req.addr = addr;
+        req.op = op;
+        return req;
+    }
     /// @}
 
     Design _design;
@@ -421,6 +439,18 @@ class DramCacheCtrl : public SimObject
     MainMemory &_mm;
 
   private:
+    /** A request its full channel queue refused, parked for a retry. */
+    struct ParkedReq : PoolItem<ParkedReq>
+    {
+        ChanReq req;
+    };
+
+    /** Offer @p parked again one burst later, until its queue has room. */
+    void retryChan(PoolRef<ParkedReq> parked, bool is_write);
+
+    /** Enqueue a write of @p addr with @p op, pending until sent. */
+    void writeLine(Addr addr, ChanOp op);
+
     void beginTxn(const TxnPtr &txn);
     bool tryFastPath(const TxnPtr &txn);
 
@@ -438,6 +468,7 @@ class DramCacheCtrl : public SimObject
     };
 
     SlabPool<Txn> _txnPool;
+    SlabPool<ParkedReq> _parkedPool;
     OpenHashMap<SetFifo> _setQueues;
     unsigned _waiting = 0;  ///< conflicting-request buffer occupancy
     Histogram _conflictOcc{1.0, 40};

@@ -8,11 +8,8 @@ InDramTagCtrl::startAccess(const TxnPtr &txn)
 {
     const Addr addr = txn->pkt.addr;
     if (txn->pkt.cmd == MemCmd::Read) {
-        ChanReq req;
-        req.id = nextChanId();
+        ChanReq req = chanReq(addr, ChanOp::ActRd);
         txn->chanReqId = req.id;
-        req.addr = addr;
-        req.op = ChanOp::ActRd;
         req.isDemandRead = true;
         req.onTagResult = [this, txn = txn](Tick t, const TagResult &tr) {
             readTagResult(txn, t, tr);
@@ -25,11 +22,8 @@ InDramTagCtrl::startAccess(const TxnPtr &txn)
     // Write demand: a single ActWr carries the data; the device
     // handles a dirty victim through its flush buffer, so no data
     // ever returns and no DQ turnaround occurs (§III-D2).
-    ChanReq req;
-    req.id = nextChanId();
+    ChanReq req = chanReq(addr, ChanOp::ActWr);
     txn->chanReqId = req.id;
-    req.addr = addr;
-    req.op = ChanOp::ActWr;
     req.onTagResult = [this, txn = txn](Tick t, const TagResult &) {
         resolveTags(txn, t);
         finish(txn, t);

@@ -25,10 +25,7 @@ IdealCtrl::startRead(const TxnPtr &txn)
 {
     const Addr addr = txn->pkt.addr;
     if (txn->tr.hit) {
-        ChanReq req;
-        req.id = nextChanId();
-        req.addr = addr;
-        req.op = ChanOp::Read;
+        ChanReq req = chanReq(addr, ChanOp::Read);
         req.isDemandRead = true;
         req.onDataDone = [this, txn = txn](Tick t) {
             accountCache(lineBytes, 0, 0);
@@ -42,10 +39,7 @@ IdealCtrl::startRead(const TxnPtr &txn)
     // victim is read out off the critical path.
     const bool dirty_victim = txn->tr.valid && txn->tr.dirty;
     if (dirty_victim) {
-        ChanReq v;
-        v.id = nextChanId();
-        v.addr = txn->tr.victimAddr;
-        v.op = ChanOp::Read;
+        ChanReq v = chanReq(txn->tr.victimAddr, ChanOp::Read);
         v.onDataDone = [this, txn = txn](Tick) {
             accountCache(0, lineBytes, 0);
             mmWrite(txn->tr.victimAddr);
@@ -73,35 +67,19 @@ IdealCtrl::startWrite(const TxnPtr &txn)
     if (dirty_victim) {
         // The victim must leave the data mats before the new data
         // overwrites it.
-        ChanReq v;
-        v.id = nextChanId();
-        v.addr = txn->tr.victimAddr;
-        v.op = ChanOp::Read;
+        ChanReq v = chanReq(txn->tr.victimAddr, ChanOp::Read);
         v.onDataDone = [this, txn = txn](Tick t) {
             accountCache(0, lineBytes, 0);
             mmWrite(txn->tr.victimAddr);
-            issueDataWrite(txn->pkt.addr);
+            demandWrite(txn->pkt.addr);
             finish(txn, t);
         };
         enqueueChan(std::move(v), false);
         return;
     }
-    issueDataWrite(addr);
+    demandWrite(addr);
     _eq.scheduleIn(_cfg.ctrlLatency,
                    [this, txn = txn] { finish(txn, curTick()); });
-}
-
-void
-IdealCtrl::issueDataWrite(Addr addr)
-{
-    addPendingWrite(addr);
-    ChanReq w;
-    w.id = nextChanId();
-    w.addr = addr;
-    w.op = ChanOp::Write;
-    w.onDataDone = [this, addr](Tick) { removePendingWrite(addr); };
-    accountCache(lineBytes, 0, 0);
-    enqueueChan(std::move(w), true);
 }
 
 void

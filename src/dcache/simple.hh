@@ -27,7 +27,6 @@ class IdealCtrl : public DramCacheCtrl
     void startRead(const TxnPtr &txn);
     void startWrite(const TxnPtr &txn);
     void maybeFill(const TxnPtr &txn);
-    void issueDataWrite(Addr addr);
 };
 
 /** No DRAM cache: demands go straight to main memory. */

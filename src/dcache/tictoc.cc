@@ -27,7 +27,7 @@ TicTocCtrl::startAccess(const TxnPtr &txn)
         !writeEvictsDirty(txn->pkt.addr)) {
         ++tagReadsElided;
         resolveTags(txn, curTick(), /*sample_latency=*/false);
-        issueDemandWrite(txn);
+        demandWrite(txn->pkt.addr);
         _eq.scheduleIn(_cfg.ctrlLatency,
                        [this, txn = txn] { finish(txn, curTick()); });
         return;

@@ -1,48 +1,14 @@
 #include "sim/sweep_runner.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
-#include <deque>
 #include <exception>
 #include <mutex>
 #include <thread>
 
 namespace tsim
 {
-
-namespace
-{
-
-/** One worker's deque. Owner pops the front, thieves take the back. */
-struct WorkerQueue
-{
-    std::mutex mtx;
-    std::deque<std::size_t> items;
-
-    bool
-    popFront(std::size_t &out)
-    {
-        std::lock_guard<std::mutex> g(mtx);
-        if (items.empty())
-            return false;
-        out = items.front();
-        items.pop_front();
-        return true;
-    }
-
-    bool
-    stealBack(std::size_t &out)
-    {
-        std::lock_guard<std::mutex> g(mtx);
-        if (items.empty())
-            return false;
-        out = items.back();
-        items.pop_back();
-        return true;
-    }
-};
-
-} // namespace
 
 void
 applyTracePrefix(std::vector<SweepJob> &jobs, const std::string &prefix)
@@ -84,25 +50,15 @@ SweepRunner::forEach(std::size_t n,
         return;
     }
 
-    // tdram-lint:allow(hot-alloc): per-sweep worker setup (one
-    // allocation per parallel sweep, not per simulated event).
-    std::vector<WorkerQueue> queues(workers);
-    for (std::size_t i = 0; i < n; ++i)
-        queues[i % workers].items.push_back(i);
-
+    // Every worker claims the next unclaimed index until none is left.
+    std::atomic<std::size_t> next{0};
     std::mutex err_mtx;
     std::exception_ptr first_error;
 
-    auto worker = [&](unsigned self) {
-        std::size_t item;
-        for (;;) {
-            bool found = queues[self].popFront(item);
-            for (unsigned k = 1; !found && k < workers; ++k)
-                found = queues[(self + k) % workers].stealBack(item);
-            if (!found)
-                return;  // all work claimed; nothing requeues
+    auto worker = [&] {
+        for (std::size_t i = next++; i < n; i = next++) {
             try {
-                fn(item);
+                fn(i);
             } catch (...) {
                 std::lock_guard<std::mutex> g(err_mtx);
                 if (!first_error)
@@ -115,7 +71,7 @@ SweepRunner::forEach(std::size_t n,
     std::vector<std::thread> threads;
     threads.reserve(workers);
     for (unsigned w = 0; w < workers; ++w)
-        threads.emplace_back(worker, w);
+        threads.emplace_back(worker);
     for (auto &t : threads)
         t.join();
 

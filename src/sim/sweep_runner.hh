@@ -5,10 +5,10 @@
  * Every figure in the reproduction replays a (design x workload)
  * grid of simulations that share nothing: each System owns a private
  * EventQueue, RNG, and statistics. SweepRunner exploits that
- * embarrassing parallelism with a small work-stealing thread pool
- * while keeping the output deterministic — results are stored by job
- * index, so a parallel sweep is byte-identical to a serial one
- * regardless of completion order.
+ * embarrassing parallelism with a small thread pool while keeping
+ * the output deterministic — results are stored by job index, so a
+ * parallel sweep is byte-identical to a serial one regardless of
+ * completion order.
  */
 
 #ifndef TSIM_SIM_SWEEP_RUNNER_HH
@@ -42,12 +42,12 @@ void applyTracePrefix(std::vector<SweepJob> &jobs,
                       const std::string &prefix);
 
 /**
- * Work-stealing pool for independent simulation runs.
+ * Thread pool for independent simulation runs.
  *
- * Jobs are dealt round-robin onto per-worker deques; each worker
- * drains its own deque from the front and steals from the back of
- * its peers when it runs dry. Exceptions thrown by a job are
- * captured and rethrown on the calling thread after the pool joins.
+ * Each worker claims the next unclaimed job index from one shared
+ * atomic cursor, so a worker that finishes early takes the next job.
+ * Exceptions thrown by a job are captured and rethrown on the calling
+ * thread after the pool joins.
  */
 class SweepRunner
 {

@@ -367,25 +367,30 @@ manifestValue(const T &v)
         return std::to_string(v);
 }
 
-/** Parse @p text, as manifestValue() spells it, into @p v. */
+/**
+ * Parse @p text, as manifestValue() spells it, into @p v, a count
+ * times @p scale. Null, or what the text should have been.
+ */
 template <class T>
-bool
-parseManifestValue(const std::string &text, T &v)
+const char *
+parseManifestValue(const std::string &text, T &v, std::uint64_t scale)
 {
     if constexpr (std::is_same_v<T, Design>) {
-        return findDesign(text, v);
+        return findDesign(text, v) ? nullptr : "a design name";
     } else if constexpr (std::is_same_v<T, PagePolicy>) {
         v = text == "open" ? PagePolicy::Open : PagePolicy::Close;
-        return text == manifestValue(v);
+        return text == manifestValue(v) ? nullptr : "open or close";
     } else if constexpr (std::is_same_v<T, ReplayMode>) {
-        return parseReplayMode(text, v);
+        return parseReplayMode(text, v) ? nullptr : "timed or afap";
     } else {
         std::uint64_t n = 0;
         const char *end = text.data() + text.size();
         const auto [ptr, ec] = std::from_chars(text.data(), end, n);
-        v = static_cast<T>(n);
-        return ec == std::errc() && ptr == end &&
-               n <= std::numeric_limits<T>::max();
+        v = static_cast<T>(n * scale);
+        if (ec == std::errc() && ptr == end &&
+            n <= std::numeric_limits<T>::max() / scale)
+            return nullptr;
+        return std::is_same_v<T, bool> ? "0 or 1" : "an unsigned integer";
     }
 }
 
@@ -466,6 +471,77 @@ requireValid(const SystemConfig &cfg)
 }
 
 std::string
+setField(SystemConfig &cfg, const std::string &key, const std::string &text,
+         const std::string &name, std::uint64_t scale)
+{
+    std::string error = name + ": no config field '" + key + "'";
+    forEachField(cfg, [&](const char *k, auto &v, const Range &) {
+        if (key != k)
+            return;
+        auto parsed = v;
+        const char *want = parseManifestValue(text, parsed, scale);
+        if (want) {
+            error = name + " wants " + want + ", got '" + text + "'";
+        } else {
+            v = parsed;
+            error.clear();
+        }
+    });
+    return error;
+}
+
+const ConfigOption *
+findConfigOption(const std::string &name)
+{
+    for (const ConfigOption &opt : configOptions)
+        if (name == opt.name)
+            return &opt;
+    return nullptr;
+}
+
+std::string
+configOptionsUsage()
+{
+    std::string text;
+    for (std::size_t i = 0; i < std::size(configOptions); ++i) {
+        const ConfigOption &opt = configOptions[i];
+        const char *sep = i == 0 ? "  --" : i % 5 ? " --" : "\n  --";
+        text += sep + std::string(opt.name);
+        if (opt.value)
+            text += std::string(" ") + opt.value;
+    }
+    return text;
+}
+
+SystemConfig
+driverConfig()
+{
+    SystemConfig cfg;
+    cfg.cores.opsPerCore = 8000;
+    cfg.warmupOpsPerCore = 150000;
+    return cfg;
+}
+
+const ConfigOption *
+takeConfigOption(int argc, char **argv, int &i, SystemConfig &cfg)
+{
+    const std::string flag = argv[i];
+    const ConfigOption *opt =
+        flag.starts_with("--") ? findConfigOption(flag.substr(2)) : nullptr;
+    if (!opt)
+        return nullptr;
+    const char *text = opt->fixed ? opt->fixed
+                       : i + 1 < argc ? argv[++i]
+                                      : "";
+    const std::string error = setField(cfg, opt->key, text, flag, opt->scale);
+    if (!error.empty()) {
+        std::fprintf(stderr, "%s\n", error.c_str());
+        std::exit(1);
+    }
+    return opt;
+}
+
+std::string
 traceManifest(const SystemConfig &cfg)
 {
     std::string text;
@@ -492,7 +568,8 @@ parseTraceManifest(const std::string &manifest, SystemConfig &cfg,
         else if (line.compare(0, key.size() + 1, key + "=") != 0)
             error = "unexpected manifest line '" + line + "' (want key '" +
                     key + "')";
-        else if (!parseManifestValue(line.substr(key.size() + 1), v))
+        else if (!setField(cfg, key, line.substr(key.size() + 1), key)
+                      .empty())
             error = "manifest value out of range: " + line;
         else
             error = fieldFault(key, v, r);

@@ -203,6 +203,65 @@ std::vector<std::string> validate(const SystemConfig &cfg);
 void requireValid(const SystemConfig &cfg);
 
 /**
+ * Parse @p text, spelled as in the trace manifest, into @p cfg's field
+ * @p key, a count times @p scale. Returns "" once set, else a refusal
+ * naming @p name: "<name> wants an unsigned integer, got '<text>'" for
+ * a count, an enum's spellings for an enum. Ranges are validate()'s.
+ */
+std::string setField(SystemConfig &cfg, const std::string &key,
+                     const std::string &text, const std::string &name,
+                     std::uint64_t scale = 1);
+
+/**
+ * A command-line option of both drivers, `--<name>`, that sets the
+ * field @p key; a value option's name is also a `tdram_cli sweep`
+ * parameter (DESIGN.md §10).
+ */
+struct ConfigOption
+{
+    const char *name;
+    const char *key;
+    const char *value = nullptr; ///< usage text of the value, if any
+    const char *fixed = nullptr; ///< a valueless flag's field text
+    std::uint64_t scale = 1;     ///< the value counts units this large
+};
+
+/** Every option, in usage order; ranges stay the field list's. */
+inline constexpr ConfigOption configOptions[] = {
+    {"ops", "cores.opsPerCore", "N"},
+    {"warmup", "warmupOpsPerCore", "N"},
+    {"seed", "seed", "N"},
+    {"capacity", "dcache.capacityBytes", "MiB", nullptr, 1 << 20},
+    {"ways", "dcache.ways", "N"},
+    {"flush", "dcache.flushEntries", "N"},
+    {"channels", "dcache.channels", "N"},
+    {"mlp", "cores.mlp", "N"},
+    {"prefetch", "dcache.prefetchDegree", "N"},
+    {"replay-mlp", "replay.mlp", "N"},
+    {"replay-mode", "replay.mode", "timed|afap"},
+    {"open-page", "dcache.pagePolicy", nullptr, "open"},
+    {"predictor", "dcache.predictor", nullptr, "1"},
+};
+
+/** The option called @p name (no dashes), or null. */
+const ConfigOption *findConfigOption(const std::string &name);
+
+/** The option table as usage lines, each indented two spaces. */
+std::string configOptionsUsage();
+
+/** The drivers' base config: the defaults with their run budget. */
+SystemConfig driverConfig();
+
+/**
+ * If argv[@p i] is `--<name>` of a table option, set its field in
+ * @p cfg from argv[i + 1] (stepping @p i) or its fixed text, and
+ * return the option; else null. A bad or missing value prints
+ * setField's refusal and exits 1.
+ */
+const ConfigOption *takeConfigOption(int argc, char **argv, int &i,
+                                     SystemConfig &cfg);
+
+/**
  * The .tdt manifest of @p cfg (DESIGN.md §10): a `key=value` line per
  * field of the field list, so a trace records its whole run.
  */

@@ -124,17 +124,19 @@ CoreEngine::advance(unsigned c)
                            (core.issued % 64) * 4;
                 }
             });
+        // An SRAM hit retires now, even if its writeback is refused;
+        // a miss retires in readReturned().
+        if (hit != SramHit::None) {
+            ++core.retired;
+            ++opsRetired;
+        }
         if (hit != SramHit::L1) {
             core.readyAt += llcLatency;
             if (!drainStalled(c)) {
                 scheduleAdvance(c, now + retryInterval);
                 return;
             }
-            if (hit == SramHit::None)
-                continue;  // retired by readReturned()
         }
-        ++core.retired;
-        ++opsRetired;
     }
     maybeFinish(c);
 }

@@ -1,14 +1,15 @@
 /**
  * @file
  * DRAM channel timing tests: protocol-level latency arithmetic from
- * Table III and the transaction diagrams of Figures 5-7, plus bank/
- * bus constraint and probing behaviour.
+ * Table III and the transaction diagrams of Figures 5-7, bank/bus
+ * constraint and probing behaviour, and the open-page policy.
  */
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "dcache/dram_cache.hh"
 #include "dram/channel.hh"
 
 namespace tsim
@@ -448,6 +449,160 @@ TEST(ChannelQueue, WriteDrainServicesAllWrites)
     h.eq.run();
     EXPECT_EQ(writes_done, 12u);
     EXPECT_EQ(h.chan.issuedWrites.value(), 12.0);
+}
+
+// ---------------------------------------------------------------------
+// Open-page policy: row-hit fast path, conflict penalty, FR-FCFS
+// row-hit-first scheduling, and refresh closing rows.
+
+ChannelConfig
+openCfg()
+{
+    ChannelConfig cfg;
+    cfg.pagePolicy = PagePolicy::Open;
+    return cfg;
+}
+
+/** An open-page channel; at() names a line by bank, row and column. */
+struct OpenHarness : ChannelHarness
+{
+    OpenHarness() : ChannelHarness(openCfg()) {}
+
+    /** Address with a given bank and row (col 0..15 inside a row). */
+    Addr
+    at(unsigned bank, std::uint64_t row, std::uint64_t col) const
+    {
+        // RoCoRaBaCh with 1 channel, 16 banks, 16 lines/row:
+        // line = ((row * 16 + col) * 16 + bank)
+        return ((row * 16 + col) * 16 + bank) * lineBytes;
+    }
+
+    Tick
+    read(Addr a)
+    {
+        Tick done = 0;
+        ChanReq r;
+        r.id = nextId++;
+        r.addr = a;
+        r.op = ChanOp::Read;
+        r.onDataDone = [&](Tick t) { done = t; };
+        chan.enqueue(std::move(r));
+        eq.run();
+        return done;
+    }
+};
+
+TEST(OpenPage, RowHitSkipsActivate)
+{
+    OpenHarness h;
+    const Tick t1 = h.read(h.at(0, 5, 0));
+    // First access: closed bank -> ACT + RD = tRCD + tCL + burst.
+    EXPECT_EQ(t1, nsToTicks(12 + 18 + 2));
+    const Tick t2 = h.read(h.at(0, 5, 1));
+    // Same row: column op only = tCL + burst after issue.
+    EXPECT_EQ(t2 - t1, nsToTicks(18 + 2));
+    EXPECT_EQ(h.chan.rowHits.value(), 1.0);
+    EXPECT_EQ(h.chan.dataBankActs.value(), 1.0);
+}
+
+TEST(OpenPage, RowConflictPaysPrecharge)
+{
+    OpenHarness h;
+    h.read(h.at(0, 5, 0));
+    Tick start = h.eq.curTick();
+    const Tick t2 = h.read(h.at(0, 9, 0));  // different row
+    // PRE + ACT + RD; the precharge also waits for tRAS from the
+    // first activate (28 ns > elapsed 32 ns, so no extra wait).
+    EXPECT_GE(t2 - start, nsToTicks(14 + 12 + 18 + 2));
+    EXPECT_EQ(h.chan.rowConflicts.value(), 1.0);
+}
+
+TEST(OpenPage, FrFcfsPrefersRowHits)
+{
+    OpenHarness h;
+    // Enqueue, back-to-back at t=0: a read opening row 3, an older
+    // conflicting read (row 7), and a younger row-3 hit. FR-FCFS
+    // must serve the younger row hit before the older conflict.
+    std::vector<std::uint64_t> order;
+    struct Spec
+    {
+        std::uint64_t row, col;
+    };
+    for (Spec s : {Spec{3, 0}, Spec{7, 0}, Spec{3, 1}}) {
+        ChanReq r;
+        r.id = s.row * 100 + s.col;
+        r.addr = h.at(0, s.row, s.col);
+        r.op = ChanOp::Read;
+        r.onDataDone = [&order, row = s.row](Tick) {
+            order.push_back(row);
+        };
+        h.chan.enqueue(std::move(r));
+    }
+    h.eq.run();
+    ASSERT_EQ(order.size(), 3u);
+    EXPECT_EQ(order[0], 3u);
+    EXPECT_EQ(order[1], 3u);  // younger row hit jumps the conflict
+    EXPECT_EQ(order[2], 7u);
+}
+
+TEST(OpenPage, SequentialStreamMostlyRowHits)
+{
+    OpenHarness h;
+    unsigned done = 0;
+    // One row holds 16 lines across... lines interleave banks first,
+    // so walk a single bank's column space.
+    for (std::uint64_t col = 0; col < 16; ++col) {
+        ChanReq r;
+        r.id = col;
+        r.addr = h.at(2, 0, col);
+        r.op = ChanOp::Read;
+        r.onDataDone = [&](Tick) { ++done; };
+        h.chan.enqueue(std::move(r));
+    }
+    h.eq.run();
+    EXPECT_EQ(done, 16u);
+    EXPECT_EQ(h.chan.dataBankActs.value(), 1.0);
+    EXPECT_EQ(h.chan.rowHits.value(), 15.0);
+}
+
+TEST(OpenPage, RefreshClosesRows)
+{
+    EventQueue eq;
+    AddressMap map(kCap, 1, 16, 1024);
+    ChannelConfig cfg = openCfg();
+    DramChannel chan(eq, "ch", cfg, map);
+    Tick done = 0;
+    ChanReq r;
+    r.id = 1;
+    r.addr = 0;
+    r.op = ChanOp::Read;
+    r.onDataDone = [&](Tick t) { done = t; };
+    chan.enqueue(std::move(r));
+    eq.run(nsToTicks(100));
+    ASSERT_GT(done, 0u);
+    // Run past a refresh; the open row must be closed afterwards:
+    // the next same-row access re-activates.
+    eq.run(nsToTicks(4300));
+    const double acts_before = chan.dataBankActs.value();
+    Tick done2 = 0;
+    ChanReq r2;
+    r2.id = 2;
+    r2.addr = 0;
+    r2.op = ChanOp::Read;
+    r2.onDataDone = [&](Tick t) { done2 = t; };
+    chan.enqueue(std::move(r2));
+    eq.run(eq.curTick() + nsToTicks(200));
+    EXPECT_GT(done2, 0u);
+    EXPECT_EQ(chan.dataBankActs.value(), acts_before + 1.0);
+    EXPECT_EQ(chan.rowHits.value(), 0.0);
+}
+
+TEST(OpenPage, ClosePageRemainsDefaultEverywhere)
+{
+    ChannelConfig cfg;
+    EXPECT_EQ(cfg.pagePolicy, PagePolicy::Close);
+    DramCacheConfig dcfg;
+    EXPECT_EQ(dcfg.pagePolicy, PagePolicy::Close);
 }
 
 } // namespace

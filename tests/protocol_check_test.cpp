@@ -4,13 +4,16 @@
  * of every device kind and page policy report zero violations (inline
  * mode), offline audits of the recorded traces, rebuilt from each
  * trace's manifest, agree with the inline result, the manifest
- * round-trips every field and refuses malformed input, and a channel
- * driven with deliberately relaxed timing against a strict rule table
- * is flagged.
+ * round-trips every field and refuses malformed input, every entry of
+ * the drivers' option table sets its field and names itself when it
+ * refuses a value, and a channel driven with deliberately relaxed
+ * timing against a strict rule table is flagged.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -24,6 +27,13 @@
 
 namespace tsim
 {
+
+void
+PrintTo(const ConfigOption &opt, std::ostream *os)
+{
+    *os << opt.name;
+}
+
 namespace
 {
 
@@ -238,6 +248,63 @@ TEST(TraceManifest, RefusesMalformedInput)
     EXPECT_EQ(refusal(with("dcache.rowBytes", "32")),
               "dcache.rowBytes is 32: below 64");
 }
+
+/** @p key's line of @p cfg's manifest, or "". */
+std::string
+manifestLine(const SystemConfig &cfg, const std::string &key)
+{
+    for (const std::string &line : lines(traceManifest(cfg)))
+        if (line.starts_with(key + "="))
+            return line;
+    return "";
+}
+
+class OptionTable : public ::testing::TestWithParam<ConfigOption>
+{};
+
+TEST_P(OptionTable, SetsItsFieldAndNamesTheFlagOnABadValue)
+{
+    const ConfigOption &opt = GetParam();
+    const std::string key = opt.key, flag = std::string("--") + opt.name;
+    const SystemConfig dflt = driverConfig();
+    ASSERT_NE(manifestLine(dflt, key), "") << key << " is no field";
+
+    // A good value: the fixed text, an enum's last spelling, or a
+    // count of 3, which no field has by default.
+    std::string text = "3", want = std::to_string(3 * opt.scale);
+    if (opt.fixed)
+        want = opt.fixed;
+    else if (std::string(opt.value).find('|') != std::string::npos)
+        text = want = std::strrchr(opt.value, '|') + 1;
+    SystemConfig cfg = dflt;
+    std::string arg0 = flag, arg1 = text;
+    char *argv[] = {arg0.data(), arg1.data()};
+    int i = 0;
+    EXPECT_EQ(takeConfigOption(2, argv, i, cfg),
+              findConfigOption(opt.name));
+    EXPECT_EQ(i, opt.fixed ? 0 : 1);
+    EXPECT_EQ(manifestLine(cfg, key), key + "=" + want);
+    EXPECT_NE(manifestLine(cfg, key), manifestLine(dflt, key));
+
+    // A bad value, or a count too wide once scaled, is refused by
+    // name and leaves the field as it was.
+    cfg = dflt;
+    const std::string wide = std::to_string(UINT64_MAX / opt.scale) + "0";
+    for (const std::string &bad : {std::string("x"), wide}) {
+        const std::string error = setField(cfg, key, bad, flag, opt.scale);
+        EXPECT_TRUE(error.starts_with(flag + " wants ")) << error;
+        EXPECT_TRUE(error.ends_with(", got '" + bad + "'")) << error;
+    }
+    EXPECT_TRUE(cfg == dflt);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Options, OptionTable, ::testing::ValuesIn(configOptions),
+    [](const ::testing::TestParamInfo<ConfigOption> &pi) {
+        std::string name = pi.param.name;
+        std::replace(name.begin(), name.end(), '-', '_');
+        return name;
+    });
 
 TEST(Validate, ReportsEveryBadFieldByKey)
 {
