@@ -3,8 +3,9 @@
  * tdram_repro — the paper's evaluation (Figs 1-13, Table IV, §V-D..F
  * and the ablations) from one shared, deduplicated result set.
  *
- *   tdram_repro [figure ...] [--full] [--jobs N] [--trace PREFIX]
- *               [--replay FILE.tdtz] [config options]
+ *   tdram_repro [figure ...] [--full] [--ops N] [--warmup N]
+ *               [--seed N] [--jobs N] [--trace PREFIX]
+ *               [--replay FILE.tdtz]
  *
  * Every figure declares the (SystemConfig, workload) runs it needs
  * (plan) and prints its table from the shared results (print). The
@@ -17,10 +18,9 @@
  *
  * --full runs all 28 workloads (and 40000 ops/core unless --ops is
  * given) instead of the 8-workload quick set; --trace writes one .tdt
- * per run, named by SweepRunner's applyTracePrefix. The config options
- * (--ops N, --warmup N, --seed N, --ways N, ...) are the option table
- * of src/system, shared with tdram_cli; they set the base config of
- * every run.
+ * per run, named by SweepRunner's applyTracePrefix. --ops, --warmup
+ * and --seed are entries of the option table in src/system, shared
+ * with tdram_cli; the table's other options are refused.
  */
 
 #include <algorithm>
@@ -30,6 +30,7 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -1191,10 +1192,10 @@ const Figure kFigures[] = {
 usage(const char *argv0)
 {
     std::fprintf(stderr,
-                 "usage: %s [figure ...] [--full] [--jobs N] "
-                 "[--trace PREFIX] [--replay FILE.tdtz] [config options]\n"
-                 "config options:\n%s\n",
-                 argv0, configOptionsUsage().c_str());
+                 "usage: %s [figure ...] [--full] [--ops N] "
+                 "[--warmup N] [--seed N] [--jobs N] [--trace PREFIX] "
+                 "[--replay FILE.tdtz]\n",
+                 argv0);
     std::exit(1);
 }
 
@@ -1221,9 +1222,14 @@ main(int argc, char **argv)
     bool opsGiven = false;
     std::vector<const Figure *> figures;
     for (int i = 1; i < argc; ++i) {
-        const ConfigOption *opt = takeConfigOption(argc, argv, i, o.base);
-        if (opt) {
-            opsGiven |= std::strcmp(opt->name, "ops") == 0;
+        // Only the budget and seed: each figure sets the fields it
+        // compares, so another option would mislabel its results.
+        if (const ConfigOption *opt =
+                takeConfigOption(argc, argv, i, o.base)) {
+            const std::string_view name = opt->name;
+            if (name != "ops" && name != "warmup" && name != "seed")
+                usage(argv[0]);
+            opsGiven |= name == "ops";
             continue;
         }
         const char *a = argv[i];

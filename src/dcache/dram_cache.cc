@@ -345,16 +345,21 @@ DramCacheCtrl::finish(const TxnPtr &txn, Tick when)
     release(txn);
 }
 
+bool
+DramCacheCtrl::offer(ChanReq &req, bool is_write)
+{
+    DramChannel &ch = channelFor(req.addr);
+    if (!(is_write ? ch.canAcceptWrite() : ch.canAcceptRead()))
+        return false;
+    ch.enqueue(std::move(req));
+    return true;
+}
+
 void
 DramCacheCtrl::enqueueChan(ChanReq req, bool is_write)
 {
-    DramChannel &ch = channelFor(req.addr);
-    const bool space =
-        is_write ? ch.canAcceptWrite() : ch.canAcceptRead();
-    if (space) {
-        ch.enqueue(std::move(req));
+    if (offer(req, is_write))
         return;
-    }
     // Queue full: park the request in a pooled slot, so the retry
     // event captures one pointer, not its two callbacks.
     PoolRef<ParkedReq> parked = _parkedPool.alloc();
@@ -367,14 +372,10 @@ DramCacheCtrl::retryChan(PoolRef<ParkedReq> parked, bool is_write)
 {
     // The channel drains continuously, so this terminates; the retry
     // interval is one burst.
-    DramChannel &ch = channelFor(parked->req.addr);
-    _eq.scheduleIn(ch.config().timing.tBURST,
+    const Tick burst = channelFor(parked->req.addr).config().timing.tBURST;
+    _eq.scheduleIn(burst,
                    [this, parked = std::move(parked), is_write]() mutable {
-                       DramChannel &ch = channelFor(parked->req.addr);
-                       if (is_write ? ch.canAcceptWrite()
-                                    : ch.canAcceptRead())
-                           ch.enqueue(std::move(parked->req));
-                       else
+                       if (!offer(parked->req, is_write))
                            retryChan(std::move(parked), is_write);
                    });
 }

@@ -445,6 +445,9 @@ class DramCacheCtrl : public SimObject
         ChanReq req;
     };
 
+    /** Enqueue @p req if its channel queue has room; else false. */
+    bool offer(ChanReq &req, bool is_write);
+
     /** Offer @p parked again one burst later, until its queue has room. */
     void retryChan(PoolRef<ParkedReq> parked, bool is_write);
 

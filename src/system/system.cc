@@ -568,8 +568,7 @@ parseTraceManifest(const std::string &manifest, SystemConfig &cfg,
         else if (line.compare(0, key.size() + 1, key + "=") != 0)
             error = "unexpected manifest line '" + line + "' (want key '" +
                     key + "')";
-        else if (!setField(cfg, key, line.substr(key.size() + 1), key)
-                      .empty())
+        else if (parseManifestValue(line.substr(key.size() + 1), v, 1))
             error = "manifest value out of range: " + line;
         else
             error = fieldFault(key, v, r);
